@@ -1,5 +1,10 @@
 //! Criterion macrobenchmarks: how much simulated classroom one host second
 //! buys — the practical limit on the population sweeps of E3/E4.
+//!
+//! `session/e3_one_second` is the E3 scalability topology (one MR campus
+//! plus 40 remote learners behind the cloud relay, in a seminar);
+//! `scripts/perf_gate.sh` records its median beside the committed timing
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use metaclass_avatar::Vec3;
@@ -32,6 +37,23 @@ fn session_second(c: &mut Criterion) {
             )
         });
     }
+    g.bench_function("e3_one_second", |b| {
+        b.iter_batched(
+            || {
+                SessionBuilder::new()
+                    .seed(1)
+                    .activity(Activity::Seminar)
+                    .campus("CWB", Region::EastAsia, 4, true)
+                    .remote_cohort(Region::EastAsia, 40, LinkClass::ResidentialAccess)
+                    .build()
+            },
+            |mut session| {
+                session.run_for(SimDuration::from_secs(1));
+                session
+            },
+            BatchSize::PerIteration,
+        )
+    });
     g.finish();
 }
 

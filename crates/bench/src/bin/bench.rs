@@ -21,7 +21,6 @@ use metaclass_bench::experiments::scenario::{scenarios_in, ScenarioExperiment};
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig};
 use metaclass_bench::{default_jobs, experiments, quick_requested, Experiment, Scale};
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::EngineConfig;
 
 /// The repository's scenario registry directory.
 const SCENARIO_DIR: &str = "scenarios";
@@ -32,7 +31,6 @@ struct Args {
     jobs: usize,
     json: bool,
     list: bool,
-    engine: EngineConfig,
     population: Option<u64>,
     validate: Vec<String>,
     scenarios: Vec<String>,
@@ -40,11 +38,11 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench --exp <id|all> [--seeds N] [--jobs N] [--quick] [--json] [--engine E]\n\
+        "usage: bench --exp <id|all> [--seeds N] [--jobs N] [--quick] [--json]\n\
          \x20      bench --scenario FILE [--scenario FILE ...]\n\
          \x20      bench --list\n\
          \x20      bench --validate FILE...\n\
-         \x20      bench simcheck [--seed N] [--cases N] [--full] [--write DIR] [--engine E]\n\
+         \x20      bench simcheck [--seed N] [--cases N] [--full] [--write DIR]\n\
          \x20                     [--scenario FILE]\n\
          \n\
          \x20 --exp <id|all>   experiment to sweep (e1..e15), or every one\n\
@@ -53,8 +51,6 @@ fn usage() -> ! {
          \x20 --jobs N         worker threads (default: available cores)\n\
          \x20 --quick          reduced scale (same path cargo tests use)\n\
          \x20 --json           write results/BENCH_<exp>.json\n\
-         \x20 --engine E       simulation executor: serial | sharded | sharded:<n>\n\
-         \x20                  (byte-identical results either way; default serial)\n\
          \x20 --population N   pooled planet-tier population override (E3/E4)\n\
          \x20 --list           list registered experiments + scenarios/ specs\n\
          \x20 --validate       check BENCH_*.json documents and *.toml scenario\n\
@@ -70,7 +66,6 @@ fn parse_args() -> Args {
         jobs: default_jobs(),
         json: false,
         list: false,
-        engine: EngineConfig::default(),
         population: None,
         validate: Vec::new(),
         scenarios: Vec::new(),
@@ -96,18 +91,6 @@ fn parse_args() -> Args {
             "--json" => args.json = true,
             "--list" => args.list = true,
             "--quick" => {} // read via quick_requested()
-            "--engine" => {
-                let raw = it.next().unwrap_or_else(|| usage());
-                match metaclass_netsim::parse_engine(&raw) {
-                    Some(mode) => args.engine = EngineConfig::from(mode),
-                    None => {
-                        eprintln!(
-                            "--engine: unknown engine {raw:?} (serial | sharded | sharded:<n>)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--population" => {
                 let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
                 if n == 0 {
@@ -240,9 +223,8 @@ fn main() -> ExitCode {
     }
 
     for exp in targets {
-        let cfg = SweepConfig::first_n(args.seeds, args.jobs, scale)
-            .with_engine(args.engine)
-            .with_population(args.population);
+        let cfg =
+            SweepConfig::first_n(args.seeds, args.jobs, scale).with_population(args.population);
         println!(
             "== {} — {} ({} seeds, {} scale, {} jobs)",
             exp.id(),

@@ -8,8 +8,7 @@
 //! RTT) actually holds.
 
 use metaclass_netsim::{
-    Context, EngineConfig, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation,
-    Timer,
+    Context, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation, Timer,
 };
 use metaclass_sync::OffsetEstimator;
 
@@ -85,15 +84,8 @@ pub struct Outcome {
     pub table: Table,
 }
 
-fn measure(
-    one_way_ms: u64,
-    jitter_ms: f64,
-    skew_ms: u64,
-    probes: u32,
-    seed: u64,
-    engine: EngineConfig,
-) -> Row {
-    let mut sim: Simulation<Msg> = Simulation::builder().seed(seed).engine_config(engine).build();
+fn measure(one_way_ms: u64, jitter_ms: f64, skew_ms: u64, probes: u32, seed: u64) -> Row {
+    let mut sim: Simulation<Msg> = Simulation::new(seed);
     let server = sim.add_node("server", SkewedServer { skew: SimDuration::from_millis(skew_ms) });
     let client = sim.add_node(
         "client",
@@ -126,14 +118,7 @@ pub fn run(ctx: &RunCtx) -> Outcome {
     let mut rows = Vec::new();
     for &ow in one_ways {
         for &j in jitters {
-            rows.push(measure(
-                ow,
-                j,
-                40,
-                probes,
-                mix_seed(seed, 0xE10 ^ ow ^ (j * 10.0) as u64),
-                ctx.engine,
-            ));
+            rows.push(measure(ow, j, 40, probes, mix_seed(seed, 0xE10 ^ ow ^ (j * 10.0) as u64)));
         }
     }
     let mut table = Table::new(

@@ -44,7 +44,6 @@ fn measure(class_size: u32, secs: u64, ctx: &RunCtx) -> Row {
     // All participants remote (the honest comparison with a Zoom class).
     let mut session = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0xE12 ^ class_size as u64))
-        .engine_config(ctx.engine)
         .activity(Activity::Seminar)
         .campus("studio", Region::EastAsia, 1, true) // the instructor's studio
         .remote_cohort(Region::EastAsia, class_size - 2, LinkClass::ResidentialAccess)

@@ -114,7 +114,6 @@ fn measure(variant: Variant, clients: u32, secs: u64, ctx: &RunCtx) -> (f64, f64
     }
     let mut session = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0xE13))
-        .engine_config(ctx.engine)
         .activity(Activity::Seminar)
         .server_config(cfg.server)
         .client_config(cfg.client)

@@ -97,7 +97,6 @@ fn measure_fault(quick: bool, ctx: &RunCtx) -> FaultRow {
         if quick { (2, SimDuration::from_secs(2)) } else { (5, SimDuration::from_secs(3)) };
     let mut session = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0xE14))
-        .engine_config(ctx.engine)
         .activity(Activity::Lecture)
         .server_config(cfg.server)
         .campus("CWB", Region::EastAsia, students, true)

@@ -127,7 +127,6 @@ fn run_once(ctx: &RunCtx, sh: &RunShape, burst: u32) -> RunResult {
     cfg.server.overload = overload_config();
     let mut builder = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0xE15))
-        .engine_config(ctx.engine)
         .activity(Activity::Lecture)
         .server_config(cfg.server)
         .campus("CWB", Region::EastAsia, sh.students, true)

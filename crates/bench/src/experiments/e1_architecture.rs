@@ -31,7 +31,6 @@ pub fn run(ctx: &RunCtx) -> Outcome {
     let (students, secs) = if quick { (4, 5) } else { (16, 60) };
     let mut session = SessionBuilder::new()
         .seed(mix_seed(seed, 2022))
-        .engine_config(ctx.engine)
         .activity(Activity::Lecture)
         .cloud_region(Region::EastAsia)
         .campus("HKUST-CWB", Region::EastAsia, students, true)

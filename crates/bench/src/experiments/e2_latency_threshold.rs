@@ -7,7 +7,7 @@
 //! column comes from real round trips over composed simulated links.
 
 use metaclass_netsim::{
-    Context, EngineConfig, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation,
+    Context, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation,
 };
 use metaclass_sync::{activity, blended_performance, is_noticeable, ActionClass};
 
@@ -63,8 +63,8 @@ impl Node<u32> for Prober {
     }
 }
 
-fn measure_rtt(one_way: SimDuration, probes: u32, seed: u64, engine: EngineConfig) -> f64 {
-    let mut sim: Simulation<u32> = Simulation::builder().seed(seed).engine_config(engine).build();
+fn measure_rtt(one_way: SimDuration, probes: u32, seed: u64) -> f64 {
+    let mut sim: Simulation<u32> = Simulation::new(seed);
     let server = sim.add_node("server", Echo);
     let client = sim
         .add_node("client", Prober { server, pending: None, rtts: Vec::new(), remaining: probes });
@@ -105,12 +105,7 @@ pub fn run(ctx: &RunCtx) -> Outcome {
 
     let mut points = Vec::new();
     for &ms in sweep {
-        let rtt = measure_rtt(
-            SimDuration::from_millis(ms),
-            probes,
-            mix_seed(seed, 0xE2 ^ ms),
-            ctx.engine,
-        );
+        let rtt = measure_rtt(SimDuration::from_millis(ms), probes, mix_seed(seed, 0xE2 ^ ms));
         let lat = SimDuration::from_millis_f64(rtt);
         let perf: Vec<(ActionClass, f64)> =
             ActionClass::ALL.iter().map(|&a| (a, a.performance(lat))).collect();

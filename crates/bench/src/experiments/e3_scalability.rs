@@ -70,7 +70,6 @@ pub struct Outcome {
 fn measure(clients: u32, mode: Mode, secs: u64, ctx: &RunCtx) -> Row {
     let mut builder = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0xE3 ^ clients as u64))
-        .engine_config(ctx.engine)
         .activity(Activity::Seminar)
         .campus("CWB", Region::EastAsia, 4, true)
         .remote_cohort(Region::EastAsia, clients, LinkClass::ResidentialAccess);
@@ -128,7 +127,6 @@ fn measure_pooled(population: u64, secs: u64, ctx: &RunCtx) -> Row {
         usize::try_from(population).unwrap_or(usize::MAX).max(4096);
     let mut builder = SessionBuilder::new()
         .seed(mix_seed(ctx.seed, 0x9003_0000 ^ population))
-        .engine_config(ctx.engine)
         .activity(Activity::Seminar)
         .campus("CWB", Region::EastAsia, 4, true)
         .server_config(server);

@@ -7,8 +7,8 @@
 
 use metaclass_core::{Activity, SessionBuilder};
 use metaclass_netsim::{
-    Context, DetRng, EngineConfig, Histogram, LinkClass, LinkConfig, Node, NodeId,
-    PopulationProfile, Region, SimDuration, SimTime, Simulation,
+    Context, DetRng, Histogram, LinkClass, LinkConfig, Node, NodeId, PopulationProfile, Region,
+    SimDuration, SimTime, Simulation,
 };
 
 use crate::{mix_seed, Experiment, Report, RunCtx, Table};
@@ -144,9 +144,9 @@ fn access_link(learner: Region, server_region: Region) -> LinkConfig {
         .with_bandwidth_bps(100_000_000)
 }
 
-fn measure(placement: Placement, learners: u32, seed: u64, engine: EngineConfig) -> Row {
+fn measure(placement: Placement, learners: u32, seed: u64) -> Row {
     let mut rng = DetRng::new(seed);
-    let mut sim: Simulation<u64> = Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<u64> = Simulation::new(seed);
 
     // Servers.
     let server_regions: Vec<Region> = match placement {
@@ -221,7 +221,6 @@ fn pooled_session(
     server.overload.admission.waiting_room = usize::try_from(total).unwrap_or(usize::MAX).max(4096);
     let mut builder = SessionBuilder::new()
         .seed(seed)
-        .engine_config(ctx.engine)
         .activity(Activity::Lecture)
         .cloud_region(cloud_region)
         .campus("CWB", Region::EastAsia, 4, true)
@@ -299,8 +298,8 @@ pub fn run(ctx: &RunCtx) -> Outcome {
     let quick = ctx.scale.is_quick();
     let learners = if quick { 200 } else { 2000 };
     let rows = vec![
-        measure(Placement::Central, learners, mix_seed(ctx.seed, 0xE4), ctx.engine),
-        measure(Placement::Regional, learners, mix_seed(ctx.seed, 0xE4), ctx.engine),
+        measure(Placement::Central, learners, mix_seed(ctx.seed, 0xE4)),
+        measure(Placement::Regional, learners, mix_seed(ctx.seed, 0xE4)),
     ];
 
     // Planet tier: the same worldwide audience as flyweight pools. Quick

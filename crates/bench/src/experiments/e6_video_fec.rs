@@ -14,8 +14,7 @@ use metaclass_media::{
     ArqFrameSender, FecConfig, FrameAssembler, FrameShard, VideoConfig, VideoSource,
 };
 use metaclass_netsim::{
-    Context, EngineConfig, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation,
-    Timer,
+    Context, LinkConfig, LossModel, Node, NodeId, SimDuration, SimTime, Simulation, Timer,
 };
 
 use crate::{mix_seed, Experiment, Report, RunCtx, Table};
@@ -256,14 +255,7 @@ pub struct Outcome {
 
 const DEADLINE: SimDuration = SimDuration::from_millis(100);
 
-fn measure(
-    scheme: Scheme,
-    loss: LossModel,
-    one_way_ms: u64,
-    frames: u32,
-    seed: u64,
-    engine: EngineConfig,
-) -> Row {
+fn measure(scheme: Scheme, loss: LossModel, one_way_ms: u64, frames: u32, seed: u64) -> Row {
     let video = VideoConfig::lecture_camera();
     let link = LinkConfig::new(SimDuration::from_millis(one_way_ms))
         .with_jitter(SimDuration::from_millis_f64(one_way_ms as f64 * 0.05))
@@ -271,8 +263,7 @@ fn measure(
         .with_bandwidth_bps(1_000_000_000)
         .with_queue_capacity_bytes(16 * 1024 * 1024);
 
-    let mut sim: Simulation<VideoMsg> =
-        Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<VideoMsg> = Simulation::new(seed);
     let raw_bytes_estimate = frames as f64 * video.mean_frame_bytes();
 
     let (delivered, captures, bytes_sent): (BTreeMap<u64, (SimTime, SimTime)>, usize, u64) =
@@ -395,7 +386,6 @@ pub fn run(ctx: &RunCtx) -> Outcome {
                     ow,
                     frames,
                     mix_seed(seed, 0xE6 ^ ow ^ (loss_p * 1000.0) as u64),
-                    ctx.engine,
                 );
                 table.row_strings(vec![
                     row.scheme.to_string(),
@@ -419,7 +409,7 @@ pub fn run(ctx: &RunCtx) -> Outcome {
         loss_bad: 0.5,
     };
     for scheme in schemes {
-        let row = measure(scheme, burst, 50, frames, mix_seed(seed, 0xE6BB), ctx.engine);
+        let row = measure(scheme, burst, 50, frames, mix_seed(seed, 0xE6BB));
         table.row_strings(vec![
             format!("{} (burst)", row.scheme),
             format!("{:.0}%", row.loss * 100.0),

@@ -98,7 +98,7 @@ impl Experiment for ScenarioExperiment {
         let seed = mix_seed(ctx.seed, name_salt(&spec.name));
         let horizon: SimDuration =
             if ctx.scale.is_quick() { spec.duration() } else { spec.full_duration() };
-        let mut session = spec.build_session(seed, ctx.engine);
+        let mut session = spec.build_session(seed);
         session.run_for(horizon);
         let sr = session.report();
         let events = session.sim().events_processed();
@@ -130,10 +130,9 @@ impl Experiment for ScenarioExperiment {
         table.row(&[&"events processed", &events]);
         report.table(table);
         // Export the session's full metric surface minus the `engine.*`
-        // namespace: those are executor diagnostics (shard windows, barrier
-        // elisions, pool hit rates) that legitimately differ between the
-        // serial and sharded engines, and BENCH documents must stay a pure
-        // function of (experiment, scale, seeds) — never of the engine.
+        // namespace: those are executor diagnostics (op-pool hit rates,
+        // arena high-water marks) that describe how the simulator ran, not
+        // the simulated classroom, so BENCH documents never carry them.
         let mut metrics = MetricsRegistry::new();
         for (name, value) in session.sim().metrics().counters() {
             if !name.starts_with("engine.") {
@@ -154,7 +153,6 @@ impl Experiment for ScenarioExperiment {
 mod tests {
     use super::*;
     use crate::Scale;
-    use metaclass_netsim::EngineConfig;
 
     const LAB: &str = r#"
 name = "lab_smoke"
@@ -175,13 +173,13 @@ access = "ResidentialAccess"
 "#;
 
     #[test]
-    fn scenario_experiments_run_identically_on_both_engines() {
+    fn scenario_experiments_rerun_identically() {
         let exp = ScenarioExperiment::from_spec(ScenarioSpec::from_toml_str(LAB).unwrap()).unwrap();
         assert_eq!(exp.id(), "scenario_lab_smoke");
-        let serial = exp.run(&RunCtx::new(Scale::Quick, 3));
-        let sharded = exp.run(&RunCtx::new(Scale::Quick, 3).with_engine(EngineConfig::sharded(4)));
-        assert_eq!(serial.scalars, sharded.scalars);
-        assert!(serial.scalars["events_processed"] > 0.0);
+        let first = exp.run(&RunCtx::new(Scale::Quick, 3));
+        let rerun = exp.run(&RunCtx::new(Scale::Quick, 3));
+        assert_eq!(first.scalars, rerun.scalars);
+        assert!(first.scalars["events_processed"] > 0.0);
     }
 
     #[test]

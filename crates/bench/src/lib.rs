@@ -31,7 +31,7 @@ use std::fmt::Display;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use metaclass_netsim::{EngineConfig, MetricsRegistry};
+use metaclass_netsim::MetricsRegistry;
 
 /// How big a configuration an experiment should run.
 ///
@@ -153,22 +153,14 @@ impl Report {
     }
 }
 
-/// Everything one seeded experiment run needs: scale, sweep seed, and the
-/// engine configuration the run's simulations should execute under.
-///
-/// The engine travels with the run context — not through process-global
-/// state — so sweeps under different engines can share one process and run
-/// in parallel.
+/// Everything one seeded experiment run needs: scale, sweep seed, and an
+/// optional population override.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunCtx {
     /// Problem size tier.
     pub scale: Scale,
     /// Sweep seed; experiments derive component seeds via [`mix_seed`].
     pub seed: u64,
-    /// Engine configuration for every simulation the run builds. Must not
-    /// affect the report: traces and metrics are byte-identical across
-    /// engines.
-    pub engine: EngineConfig,
     /// Override for the modeled population of experiments with a pooled
     /// planet-scale tier (E3/E4). `None` runs each experiment's built-in
     /// population grid; `Some(n)` runs the pooled tier at exactly `n`.
@@ -176,15 +168,9 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// A run context with the default (serial) engine.
+    /// A run context running each experiment's built-in population grid.
     pub fn new(scale: Scale, seed: u64) -> Self {
-        RunCtx { scale, seed, engine: EngineConfig::default(), population: None }
-    }
-
-    /// Returns the context with a different engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
+        RunCtx { scale, seed, population: None }
     }
 
     /// Returns the context with a pooled-population override.
@@ -197,10 +183,9 @@ impl RunCtx {
 /// A runnable experiment: the uniform interface every `eN` module exposes.
 ///
 /// Implementations must be deterministic: the same `(scale, seed)` pair must
-/// yield an identical [`Report`] on every invocation — regardless of the
-/// engine in `ctx` — which is what makes parallel sweeps
-/// ([`sweep::run_sweep`]) reproducible and their JSON output independent of
-/// worker count and executor.
+/// yield an identical [`Report`] on every invocation, which is what makes
+/// parallel sweeps ([`sweep::run_sweep`]) reproducible and their JSON output
+/// independent of worker count.
 pub trait Experiment: Sync {
     /// Short stable identifier (`"e3"`), used for CLI selection and file
     /// names.

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use metaclass_netsim::{EngineConfig, MetricsRegistry, MetricsSnapshot};
+use metaclass_netsim::{MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::{parallel_trials, Experiment, Report, RunCtx, Scale, Table};
@@ -41,9 +41,6 @@ pub struct SweepConfig {
     pub jobs: usize,
     /// Scale every run uses.
     pub scale: Scale,
-    /// Simulation engine every run uses. Per-run state, so sweeps with
-    /// different engines can execute concurrently in one process.
-    pub engine: EngineConfig,
     /// Pooled-population override forwarded to every run (see
     /// [`RunCtx::population`]).
     pub population: Option<u64>,
@@ -51,22 +48,9 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// Sweeps seeds `1..=n` (seed 0 is reserved for the legacy single-run
-    /// behaviour) with the given worker count and scale, on the default
-    /// serial engine.
+    /// behaviour) with the given worker count and scale.
     pub fn first_n(n: u64, jobs: usize, scale: Scale) -> Self {
-        SweepConfig {
-            seeds: (1..=n).collect(),
-            jobs,
-            scale,
-            engine: EngineConfig::default(),
-            population: None,
-        }
-    }
-
-    /// Replaces the engine configuration every run uses.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
+        SweepConfig { seeds: (1..=n).collect(), jobs, scale, population: None }
     }
 
     /// Sets the pooled-population override every run uses.
@@ -167,7 +151,7 @@ pub struct SweepOutcome {
 pub fn run_sweep(exp: &dyn Experiment, cfg: &SweepConfig) -> SweepOutcome {
     assert!(!cfg.seeds.is_empty(), "sweep needs at least one seed");
     let reports = parallel_trials(&cfg.seeds, cfg.jobs, |seed| {
-        exp.run(&RunCtx { scale: cfg.scale, seed, engine: cfg.engine, population: cfg.population })
+        exp.run(&RunCtx { scale: cfg.scale, seed, population: cfg.population })
     });
 
     // Fold in seed order — never in completion order.
@@ -530,13 +514,7 @@ mod tests {
 
     #[test]
     fn canonical_json_has_fixed_shape() {
-        let cfg = SweepConfig {
-            seeds: vec![1, 2],
-            jobs: 1,
-            scale: Scale::Quick,
-            engine: EngineConfig::default(),
-            population: None,
-        };
+        let cfg = SweepConfig { seeds: vec![1, 2], jobs: 1, scale: Scale::Quick, population: None };
         let json = run_sweep(&Affine, &cfg).doc.to_json_string();
         assert!(json.starts_with("{\n  \"schema_version\": 1,"));
         assert!(json.contains("\"experiment\": \"affine\""));

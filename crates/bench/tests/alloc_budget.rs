@@ -5,18 +5,18 @@
 //! every `alloc`/`realloc`. After one warm-up simulated second (arenas and
 //! slabs grow to their high-water marks), a further simulated second on the
 //! same E3-quick session must stay under a committed allocations-per-event
-//! ceiling on BOTH engines. The ceilings were measured with ~2x headroom:
-//! they catch a reintroduced per-dispatch `Vec` or per-event box immediately
-//! (those cost 1+ alloc/event) without flaking on allocator noise.
+//! ceiling. The ceiling was measured with ~2x headroom: it catches a
+//! reintroduced per-dispatch `Vec` or per-event box immediately (those cost
+//! 1+ alloc/event) without flaking on allocator noise.
 //!
-//! Both engines are measured inside ONE `#[test]` so the process-global
-//! counter is never polluted by a concurrently running test thread.
+//! This file holds ONE `#[test]` so the process-global counter is never
+//! polluted by a concurrently running test thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use metaclass_core::{Activity, ClassroomSession, SessionBuilder};
-use metaclass_netsim::{EngineConfig, LinkClass, Region, SimDuration};
+use metaclass_netsim::{LinkClass, Region, SimDuration};
 
 struct CountingAlloc;
 
@@ -44,11 +44,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The E3-quick topology: one MR campus plus a remote cohort behind the
-/// cloud relay — same shape the engine_shard bench and identity tests use.
-fn e3_session(engine: EngineConfig) -> ClassroomSession {
+/// cloud relay — same shape as the E3 criterion bench.
+fn e3_session() -> ClassroomSession {
     SessionBuilder::new()
         .seed(3)
-        .engine_config(engine)
         .activity(Activity::Seminar)
         .campus("CWB", Region::EastAsia, 4, true)
         .remote_cohort(Region::EastAsia, 10, LinkClass::ResidentialAccess)
@@ -57,8 +56,8 @@ fn e3_session(engine: EngineConfig) -> ClassroomSession {
 
 /// Runs one warm-up second then one measured second; returns
 /// (alloc calls, events) for the measured second.
-fn steady_state_allocs(engine: EngineConfig) -> (u64, u64) {
-    let mut session = e3_session(engine);
+fn steady_state_allocs() -> (u64, u64) {
+    let mut session = e3_session();
     session.run_for(SimDuration::from_secs(1)); // warm-up: arenas reach high water
     let events_before = session.sim().events_processed();
     let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
@@ -70,31 +69,23 @@ fn steady_state_allocs(engine: EngineConfig) -> (u64, u64) {
 
 #[test]
 fn steady_state_allocations_per_event_stay_under_budget() {
-    // Committed ceilings, in allocations per 1000 events. Serial steady
-    // state is dominated by per-message payload construction in the node
-    // handlers; the sharded engine adds per-WINDOW (not per-event) costs:
-    // lane deal-out/reassembly and thread scope setup.
-    // Measured on the seed of this budget: serial ≈1811/1k, sharded ≈2021/1k.
-    const SERIAL_BUDGET_PER_1K: u64 = 3_600;
-    const SHARDED_BUDGET_PER_1K: u64 = 4_100;
+    // Committed ceiling, in allocations per 1000 events. Steady state is
+    // dominated by per-message payload construction in the node handlers.
+    // Measured on the seed of this budget: ≈1811/1k.
+    const BUDGET_PER_1K: u64 = 3_600;
 
-    for (label, engine, budget_per_1k) in [
-        ("serial", EngineConfig::serial(), SERIAL_BUDGET_PER_1K),
-        ("sharded_4", EngineConfig::sharded(4), SHARDED_BUDGET_PER_1K),
-    ] {
-        let (allocs, events) = steady_state_allocs(engine);
-        assert!(events > 1_000, "{label}: measured second processed only {events} events");
-        let per_1k = allocs * 1_000 / events;
-        eprintln!(
-            "alloc_budget[{label}]: {allocs} allocs / {events} events \
-             = {per_1k} per 1k events (budget {budget_per_1k})"
-        );
-        assert!(
-            per_1k <= budget_per_1k,
-            "{label}: steady-state allocation rate {per_1k}/1k events exceeds the \
-             committed budget of {budget_per_1k}/1k — a per-event allocation has \
-             crept back into the hot path (check Op arena reuse, the envelope \
-             slab, and wheel slot recycling)"
-        );
-    }
+    let (allocs, events) = steady_state_allocs();
+    assert!(events > 1_000, "measured second processed only {events} events");
+    let per_1k = allocs * 1_000 / events;
+    eprintln!(
+        "alloc_budget: {allocs} allocs / {events} events \
+         = {per_1k} per 1k events (budget {BUDGET_PER_1K})"
+    );
+    assert!(
+        per_1k <= BUDGET_PER_1K,
+        "steady-state allocation rate {per_1k}/1k events exceeds the committed \
+         budget of {BUDGET_PER_1K}/1k — a per-event allocation has crept back \
+         into the hot path (check Op arena reuse, the envelope slab, and wheel \
+         slot recycling)"
+    );
 }

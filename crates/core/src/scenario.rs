@@ -7,8 +7,7 @@
 //! (fault plan + flash crowd + pooled population) — as data, in TOML or
 //! JSON. The expander ([`ScenarioSpec::session_builder`]) turns a spec plus
 //! a seed into a [`SessionBuilder`] program, deterministically: the same
-//! spec and seed always produce the same byte-identical session on either
-//! engine.
+//! spec and seed always produce the same byte-identical session.
 //!
 //! Specs live under `scenarios/` in the repository root and are registered
 //! with the bench experiment registry with zero per-scenario code. The TOML
@@ -22,8 +21,7 @@ use std::path::Path;
 
 use metaclass_edge::DevicePlatform;
 use metaclass_netsim::{
-    EngineConfig, FaultPlan, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration,
-    SimTime,
+    FaultPlan, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -275,8 +273,7 @@ impl ScenarioSpec {
     }
 
     /// Expands the spec into a [`SessionBuilder`] program. Deterministic:
-    /// the same spec and seed produce the same session, byte-identical on
-    /// either engine.
+    /// the same spec and seed produce the same session, byte for byte.
     pub fn session_builder(&self, seed: u64) -> SessionBuilder {
         let mut b = SessionBuilder::new()
             .seed(seed)
@@ -374,10 +371,10 @@ impl ScenarioSpec {
         Some(plan)
     }
 
-    /// Builds the runnable session: expands the spec at `seed` on `engine`
-    /// and applies the stress fault plan, if any.
-    pub fn build_session(&self, seed: u64, engine: EngineConfig) -> ClassroomSession {
-        let mut session = self.session_builder(seed).engine_config(engine).build();
+    /// Builds the runnable session: expands the spec at `seed` and applies
+    /// the stress fault plan, if any.
+    pub fn build_session(&self, seed: u64) -> ClassroomSession {
+        let mut session = self.session_builder(seed).build();
         if let Some(plan) = self.fault_plan() {
             session.sim_mut().apply_fault_plan(plan);
         }
@@ -866,7 +863,6 @@ fn emit_toml(value: &Value) -> Result<String, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_netsim::EngineConfig;
 
     fn lab_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -968,18 +964,15 @@ mod tests {
     }
 
     #[test]
-    fn expansion_is_deterministic_across_engines() {
+    fn expansion_is_deterministic_across_reruns() {
         let spec = lab_spec();
-        let fingerprint = |engine: EngineConfig| {
-            let mut s = spec.build_session(7, engine);
+        let fingerprint = || {
+            let mut s = spec.build_session(7);
             s.sim_mut().enable_trace(1 << 14);
             s.run_for(spec.duration());
             s.sim().trace().expect("trace enabled").fingerprint_hex()
         };
-        let serial = fingerprint(EngineConfig::serial());
-        let sharded = fingerprint(EngineConfig::sharded(4));
-        assert_eq!(serial, sharded);
-        assert_eq!(serial, fingerprint(EngineConfig::serial()), "rerun identical");
+        assert_eq!(fingerprint(), fingerprint(), "rerun identical");
     }
 
     #[test]

@@ -14,8 +14,8 @@ use metaclass_edge::{
     RoomArrayNode, ServerConfig,
 };
 use metaclass_netsim::{
-    DetRng, EngineConfig, EngineMode, LinkClass, LinkConfig, NodeId, PopulationProfile,
-    PopulationTimeline, Region, SimDuration, SimTime, Simulation,
+    DetRng, LinkClass, LinkConfig, NodeId, PopulationProfile, PopulationTimeline, Region,
+    SimDuration, SimTime, Simulation,
 };
 use metaclass_sensors::MotionScript;
 use serde::{Deserialize, Serialize};
@@ -154,9 +154,6 @@ pub struct SessionConfig {
     pub fanout: FanoutConfig,
     /// Remote-client tuning.
     pub client: ClientConfig,
-    /// Engine configuration for the underlying simulation (executor plus
-    /// tuning knobs), carried per session — nothing process-global.
-    pub engine: EngineConfig,
 }
 
 /// The codec agreement used across the whole session: auditorium-sized
@@ -176,7 +173,6 @@ impl Default for SessionConfig {
             server: ServerConfig { codec, ..ServerConfig::default() },
             fanout: FanoutConfig::default(),
             client: ClientConfig { codec, ..ClientConfig::default() },
-            engine: EngineConfig::default(),
         }
     }
 }
@@ -264,19 +260,6 @@ impl SessionBuilder {
     /// reckoning, jitter buffering). The codec must match the server's.
     pub fn client_config(mut self, client: ClientConfig) -> Self {
         self.cfg.client = client;
-        self
-    }
-
-    /// Selects the simulation executor for this session, keeping the other
-    /// engine knobs (traces and metrics are byte-identical across engines).
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.cfg.engine.mode = mode;
-        self
-    }
-
-    /// Replaces the whole engine configuration for this session.
-    pub fn engine_config(mut self, engine: EngineConfig) -> Self {
-        self.cfg.engine = engine;
         self
     }
 
@@ -417,8 +400,7 @@ impl SessionBuilder {
             "a session needs at least one campus, cohort, or population"
         );
         let cfg = self.cfg;
-        let mut sim: Simulation<ClassMsg> =
-            Simulation::builder().seed(cfg.seed).engine_config(cfg.engine).build();
+        let mut sim: Simulation<ClassMsg> = Simulation::new(cfg.seed);
 
         // ---- Freeze each population's timeline; split off its tracers. ----
         // Every pool draws from its own derived stream, so adding a pool
@@ -726,17 +708,6 @@ impl SessionBuilder {
             sim.node_as_mut::<CloudServerNode>(cloud_id)
                 .expect("cloud node")
                 .set_pools(pool_infos.iter().map(|p| (p.pool, p.node)).collect());
-        }
-
-        // ---- Rate hints for the shard planner. ----
-        // A flyweight pool node carries the aggregate traffic of all its
-        // pooled members, but topologically it is a degree-1 leaf — without
-        // a hint the weighted partitioner would pack it like a single client
-        // and pile whole populations onto one shard. Hints only steer shard
-        // packing; the event order (and therefore every result byte) is
-        // identical under any partition.
-        for p in &pool_infos {
-            sim.set_rate_hint(p.node, 4 + p.pooled);
         }
 
         ClassroomSession {

@@ -2,9 +2,8 @@
 //!
 //! - Expanding a small population into individual clients (100% tracers)
 //!   is byte-identical to an equivalent cohort — same nodes, same seeds,
-//!   same metrics, on both engines.
-//! - A pooled session replays byte-identically across the serial and
-//!   sharded engines.
+//!   same metrics.
+//! - A pooled session replays byte-identically across reruns.
 //! - Aggregate egress accounting conserves bytes and members under faults
 //!   (link flaps on the pool's access path, cloud crash-restart): no byte
 //!   is delivered or dropped that was not sent, and the pool and cloud
@@ -13,7 +12,7 @@
 use metaclass_core::SessionBuilder;
 use metaclass_edge::{ClientPoolNode, CloudServerNode};
 use metaclass_netsim::{
-    EngineMode, FaultPlan, LinkClass, PopulationProfile, Region, SimDuration, SimTime, TraceKind,
+    FaultPlan, LinkClass, PopulationProfile, Region, SimDuration, SimTime, TraceKind,
 };
 use proptest::prelude::*;
 
@@ -28,55 +27,48 @@ fn pooled_builder(seed: u64, members: u64, tracers: u32) -> SessionBuilder {
 }
 
 /// N ≤ 8, 100% tracers: the population expands into individual clients and
-/// must be byte-identical to the same learners declared as a cohort — on
-/// the serial and the sharded engine alike.
+/// must be byte-identical to the same learners declared as a cohort.
 #[test]
-fn fully_traced_pool_is_byte_identical_to_a_cohort_on_both_engines() {
-    for engine in [EngineMode::Serial, EngineMode::Sharded { shards: 2 }] {
-        let run = |pooled: bool| {
-            let builder = SessionBuilder::new()
-                .seed(41)
-                .engine(engine)
-                .campus("CWB", Region::EastAsia, 3, true)
-                .remote_cohort(Region::NorthAmerica, 2, LinkClass::CellularAccess);
-            let builder = if pooled {
-                builder.population(
-                    Region::Europe,
-                    8,
-                    8,
-                    LinkClass::ResidentialAccess,
-                    PopulationProfile::flash_crowd(SimTime::from_millis(700), SimDuration::ZERO),
-                )
-            } else {
-                builder.remote_cohort_joining(
-                    Region::Europe,
-                    8,
-                    LinkClass::ResidentialAccess,
-                    SimDuration::from_millis(700),
-                    SimDuration::ZERO,
-                )
-            };
-            let mut s = builder.build();
-            s.run_for(SimDuration::from_secs(4));
-            assert_eq!(s.pools().len(), 0, "100% tracers must not create a pool node");
-            s.sim().metrics().snapshot().without_prefix("engine.")
+fn fully_traced_pool_is_byte_identical_to_a_cohort() {
+    let run = |pooled: bool| {
+        let builder = SessionBuilder::new()
+            .seed(41)
+            .campus("CWB", Region::EastAsia, 3, true)
+            .remote_cohort(Region::NorthAmerica, 2, LinkClass::CellularAccess);
+        let builder = if pooled {
+            builder.population(
+                Region::Europe,
+                8,
+                8,
+                LinkClass::ResidentialAccess,
+                PopulationProfile::flash_crowd(SimTime::from_millis(700), SimDuration::ZERO),
+            )
+        } else {
+            builder.remote_cohort_joining(
+                Region::Europe,
+                8,
+                LinkClass::ResidentialAccess,
+                SimDuration::from_millis(700),
+                SimDuration::ZERO,
+            )
         };
-        assert_eq!(run(true), run(false), "engine {engine:?}");
-    }
-}
-
-/// The same pooled session must produce byte-identical metrics on the
-/// serial and sharded engines.
-#[test]
-fn pooled_sessions_replay_byte_identically_across_engines() {
-    let run = |engine: EngineMode| {
-        let mut s = pooled_builder(91, 300, 3).engine(engine).build();
-        s.run_for(SimDuration::from_secs(6));
+        let mut s = builder.build();
+        s.run_for(SimDuration::from_secs(4));
+        assert_eq!(s.pools().len(), 0, "100% tracers must not create a pool node");
         s.sim().metrics().snapshot().without_prefix("engine.")
     };
-    let serial = run(EngineMode::Serial);
-    let sharded = run(EngineMode::Sharded { shards: 4 });
-    assert_eq!(serial, sharded);
+    assert_eq!(run(true), run(false));
+}
+
+/// The same pooled session must produce byte-identical metrics when rerun.
+#[test]
+fn pooled_sessions_replay_byte_identically() {
+    let run = || {
+        let mut s = pooled_builder(91, 300, 3).build();
+        s.run_for(SimDuration::from_secs(6));
+        s.sim().metrics().snapshot()
+    };
+    assert_eq!(run(), run());
 }
 
 proptest! {

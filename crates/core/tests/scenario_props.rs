@@ -1,15 +1,14 @@
 //! Property tests for the scenario DSL: any valid spec survives the
 //! TOML and JSON round trips byte-exactly, and the expander is fully
 //! deterministic — the same spec and seed produce byte-identical sessions
-//! (trace fingerprints) on the serial and sharded engines and across
-//! reruns.
+//! (trace fingerprints) across reruns.
 
 use metaclass_core::{
     FaultKind, FaultSpec, FlashCrowdSpec, MobilityEvent, PopulationSpec, ScenarioCampus,
     ScenarioCohort, ScenarioPattern, ScenarioSpec, StressSpec,
 };
 use metaclass_edge::DevicePlatform;
-use metaclass_netsim::{EngineConfig, LinkClass, Region};
+use metaclass_netsim::{LinkClass, Region};
 use proptest::prelude::*;
 
 /// SplitMix64 step: a tiny deterministic generator so one sampled `u64`
@@ -189,28 +188,25 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs real simulations three times; keep the count small.
+    // Each case runs real simulations twice; keep the count small.
     #![proptest_config(proptest::test_runner::Config::with_cases(4))]
 
     /// The expander is deterministic end to end: same spec + seed gives
-    /// byte-identical event traces on the serial engine, the sharded
-    /// engine, and a serial rerun.
+    /// byte-identical event traces on a rerun.
     #[test]
-    fn prop_expansion_is_byte_identical_across_engines_and_reruns(seed in any::<u64>()) {
+    fn prop_expansion_is_byte_identical_across_reruns(seed in any::<u64>()) {
         let mut spec = spec_from_seed(seed);
         // Bound the horizon so four cases stay test-sized.
         spec.duration_ms = spec.duration_ms.min(900);
-        let fingerprint = |engine: EngineConfig| {
-            let mut session = spec.build_session(seed ^ 0xD5, engine);
+        let fingerprint = || {
+            let mut session = spec.build_session(seed ^ 0xD5);
             session.sim_mut().enable_trace(1 << 15);
             session.run_for(spec.duration());
             let events = session.sim().events_processed();
             (session.sim().trace().expect("trace enabled").fingerprint_hex(), events)
         };
-        let serial = fingerprint(EngineConfig::serial());
-        let sharded = fingerprint(EngineConfig::sharded(4));
-        prop_assert_eq!(&serial, &sharded, "serial vs sharded diverged");
-        prop_assert_eq!(&serial, &fingerprint(EngineConfig::serial()), "rerun diverged");
-        prop_assert!(serial.1 > 0, "the session must actually run");
+        let first = fingerprint();
+        prop_assert_eq!(&first, &fingerprint(), "rerun diverged");
+        prop_assert!(first.1 > 0, "the session must actually run");
     }
 }

@@ -18,7 +18,7 @@
 //!   the simcheck `shed-ladder` oracle checks.
 //!
 //! Both are deterministic functions of their inputs and simulated time, so
-//! edge and cloud behave byte-identically across execution engines.
+//! edge and cloud behave byte-identically across reruns.
 
 use std::collections::BTreeSet;
 

@@ -27,8 +27,8 @@
 //!
 //! Pools are per-region, communicate only with the cloud, and draw all
 //! randomness from their own derived [`metaclass_netsim::DetRng`] streams,
-//! so they partition cleanly across the sharded engine and replay
-//! byte-identically.
+//! so adding or resizing a pool never perturbs another node's randomness
+//! and every run replays byte-identically.
 
 use metaclass_avatar::{AvatarCodec, AvatarId, CodecConfig};
 use metaclass_netsim::{Context, Node, NodeId, PopulationTimeline, SimDuration, SimTime, Timer};

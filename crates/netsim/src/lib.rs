@@ -68,7 +68,6 @@ mod observe;
 mod population;
 mod rng;
 pub mod sched;
-mod shard;
 mod sim;
 mod time;
 mod topology;
@@ -84,9 +83,7 @@ pub use population::{
 };
 pub use rng::DetRng;
 pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
-pub use sim::{
-    parse_engine, EngineConfig, EngineMode, Simulation, SimulationBuilder, DEFAULT_SHARDS,
-};
+pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};
-pub use topology::{min_cut_partition, min_cut_partition_weighted, LinkClass, Partition, Region};
+pub use topology::{LinkClass, Region};
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -355,10 +355,10 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// A copy with every counter and histogram whose name starts with
-    /// `prefix` removed. Identity comparisons between engine modes use
+    /// `prefix` removed. Fingerprints of the simulated world use
     /// `without_prefix("engine.")`: the `engine.` namespace describes the
-    /// executor itself (op-pool reuse, shard windows), and is the only part
-    /// of the registry allowed to differ between serial and sharded runs.
+    /// executor itself (op-pool reuse, arena high-water marks), not the
+    /// simulated world.
     pub fn without_prefix(&self, prefix: &str) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -533,24 +533,24 @@ mod tests {
     fn without_prefix_strips_the_engine_namespace_only() {
         let mut a = MetricsRegistry::new();
         a.add("delivered", 5);
-        a.add("engine.shard.windows", 3);
+        a.add("engine.ops_pool.miss", 3);
         a.add("engine.ops_pool.hit", 9);
         a.histogram("rtt_ns").record(1_000);
-        a.histogram("engine.shard.events_per_window").record(40);
+        a.histogram("engine.probe_ns").record(40);
 
         // Engine counters obey the ordinary merge rules (summed, histograms
-        // pooled) — reassembly folds lane registries through `merge`.
+        // pooled), as when a sweep folds per-seed registries.
         let mut b = MetricsRegistry::new();
-        b.add("engine.shard.windows", 2);
-        b.histogram("engine.shard.events_per_window").record(60);
+        b.add("engine.ops_pool.miss", 2);
+        b.histogram("engine.probe_ns").record(60);
         a.merge(&b);
-        assert_eq!(a.counter_value("engine.shard.windows"), 5);
+        assert_eq!(a.counter_value("engine.ops_pool.miss"), 5);
 
         let world = a.snapshot().without_prefix("engine.");
         assert_eq!(world.counters.get("delivered"), Some(&5));
         assert!(world.counters.keys().all(|k| !k.starts_with("engine.")));
         assert!(world.histograms.contains_key("rtt_ns"));
-        assert!(!world.histograms.contains_key("engine.shard.events_per_window"));
+        assert!(!world.histograms.contains_key("engine.probe_ns"));
         // The unfiltered snapshot still carries the engine namespace.
         assert_eq!(a.snapshot().counters.get("engine.ops_pool.hit"), Some(&9));
     }

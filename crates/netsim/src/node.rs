@@ -107,7 +107,7 @@ impl<M> Context<'_, M> {
     pub fn set_timer(&mut self, after: SimDuration, tag: u64) -> u64 {
         // Ids pack the owning node into the high half over a per-node
         // counter: globally unique, yet assignable without any cross-node
-        // state, so sharded execution mints the same ids as serial.
+        // state, so a node's ids never depend on other nodes' activity.
         *self.timer_counter += 1;
         debug_assert!(*self.timer_counter < 1 << 32, "per-node timer ids exhausted");
         let id = ((self.id.0 as u64) << 32) | *self.timer_counter;

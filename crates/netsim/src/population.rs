@@ -8,10 +8,10 @@
 //! models a million pooled clients schedules exactly one entity per region.
 //!
 //! Determinism story: the timeline depends only on `(seed, profile, members,
-//! class length)`. It is generated before the simulation starts, so serial
-//! and sharded engines consume byte-identical schedules; the pool actor
-//! itself performs no randomness beyond what its own derived [`DetRng`]
-//! streams provide.
+//! class length)`. It is generated before the simulation starts, so every
+//! run of the same configuration consumes a byte-identical schedule; the
+//! pool actor itself performs no randomness beyond what its own derived
+//! [`DetRng`] streams provide.
 
 use serde::{Deserialize, Serialize};
 

@@ -22,10 +22,9 @@
 //!
 //! The wheel's active batch is stored struct-of-arrays: `(time, seq)` keys
 //! live in one dense deque and payloads in a parallel one, so the hot
-//! read-mostly operations — `peek_key` (the sharded engine's
-//! earliest-pending scan runs it once per lane per window), the binary
-//! search for mid-drain inserts, and the pop-order merge against the
-//! overflow heap — touch only the packed key lane and never pull payload
+//! read-mostly operations — `peek_key` (the `run_until` deadline check),
+//! the binary search for mid-drain inserts, and the pop-order merge against
+//! the overflow heap — touch only the packed key lane and never pull payload
 //! bytes into cache.
 
 use std::cmp::Reverse;

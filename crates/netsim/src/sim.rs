@@ -1,15 +1,11 @@
 //! The discrete-event simulation engine.
 //!
-//! Two executors share one event-processing core: the serial reference
-//! engine and the conservative shard-parallel engine in [`crate::shard`].
-//! Event order is total — `(SimTime, causal stamp)` — and the stamp of every
-//! event is computable from the state of the node that scheduled it, so both
-//! executors produce byte-identical traces, metrics, and node states.
+//! One serial executor processes events in a total order — `(SimTime, causal
+//! stamp)` — so a run is a pure function of its configuration and seed.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Transmit};
@@ -18,163 +14,8 @@ use crate::node::{Context, Envelope, Node, NodeId, Op, Timer};
 use crate::observe::{SimEvent, SimObserver, SimView};
 use crate::rng::DetRng;
 use crate::sched::{EventQueue, TimerWheel};
-use crate::shard::OwnedSimEvent;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceKind};
-
-/// Which executor a [`Simulation`] uses to process events.
-///
-/// Both modes are byte-identical: same trace fingerprint, same metrics,
-/// same node states. `Sharded` partitions the node graph and runs
-/// lookahead-bounded event windows on worker threads; when the topology
-/// cannot be partitioned with a positive lookahead the run falls back to
-/// serial execution *loudly* — each fallback bumps the
-/// `engine.fallback_serial` counter and, when tracing is enabled, appends a
-/// [`TraceKind::EngineFallback`] record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Single-threaded reference executor: one global event loop.
-    Serial,
-    /// Conservative shard-parallel executor (see the `shard` module docs).
-    Sharded {
-        /// Number of shards (worker threads) to partition the node graph
-        /// into. Values below 2 behave like `Serial`.
-        shards: usize,
-    },
-}
-
-/// Default shard count when the caller asks for `sharded` without a number.
-pub const DEFAULT_SHARDS: usize = 4;
-
-/// Per-simulation engine configuration: the executor plus its tuning knobs.
-///
-/// Every [`Simulation`] carries its own `EngineConfig` (set it with
-/// [`Simulation::builder`] or [`Simulation::set_engine_config`]); there is
-/// no process-global engine state on the supported path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Which executor processes events.
-    pub mode: EngineMode,
-    /// Enables adaptive lookahead (barrier elision) under
-    /// [`EngineMode::Sharded`]: while all shards but one are quiescent and
-    /// no cross-shard message is pending, the busy shard advances in
-    /// multi-window leaps bounded by its next cross-shard send instead of
-    /// synchronizing at every lookahead window. Results are byte-identical
-    /// either way (property-tested); elided barriers are counted in
-    /// `engine.barriers_elided`. `true` by default; inert under
-    /// [`EngineMode::Serial`].
-    pub adaptive_lookahead: bool,
-}
-
-impl Default for EngineConfig {
-    /// Serial execution, adaptive lookahead enabled (inert until a sharded
-    /// mode is selected).
-    fn default() -> Self {
-        EngineConfig { mode: EngineMode::Serial, adaptive_lookahead: true }
-    }
-}
-
-impl EngineConfig {
-    /// The serial reference executor.
-    pub fn serial() -> Self {
-        EngineConfig::default()
-    }
-
-    /// The sharded executor with `shards` worker lanes.
-    pub fn sharded(shards: usize) -> Self {
-        EngineConfig { mode: EngineMode::Sharded { shards }, ..EngineConfig::default() }
-    }
-
-    /// Returns the configuration with adaptive lookahead switched on or off.
-    pub fn with_adaptive_lookahead(mut self, on: bool) -> Self {
-        self.adaptive_lookahead = on;
-        self
-    }
-}
-
-impl From<EngineMode> for EngineConfig {
-    fn from(mode: EngineMode) -> Self {
-        EngineConfig { mode, ..EngineConfig::default() }
-    }
-}
-
-/// Builder for a [`Simulation`]: master seed plus per-run [`EngineConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use metaclass_netsim::{EngineMode, Simulation};
-///
-/// let sim: Simulation<u64> =
-///     Simulation::builder().seed(7).engine(EngineMode::Sharded { shards: 4 }).build();
-/// assert_eq!(sim.engine(), EngineMode::Sharded { shards: 4 });
-/// ```
-pub struct SimulationBuilder<M> {
-    seed: u64,
-    config: EngineConfig,
-    _msg: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M> SimulationBuilder<M> {
-    /// Creates a builder with seed 0 and the default engine configuration.
-    pub fn new() -> Self {
-        SimulationBuilder {
-            seed: 0,
-            config: EngineConfig::default(),
-            _msg: std::marker::PhantomData,
-        }
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Selects the executor, keeping the other engine knobs.
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Replaces the whole engine configuration.
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Switches adaptive lookahead on or off
-    /// (see [`EngineConfig::adaptive_lookahead`]).
-    pub fn adaptive_lookahead(mut self, on: bool) -> Self {
-        self.config.adaptive_lookahead = on;
-        self
-    }
-}
-
-impl<M: 'static> SimulationBuilder<M> {
-    /// Builds the (empty) simulation.
-    pub fn build(self) -> Simulation<M> {
-        Simulation::with_config(self.seed, self.config)
-    }
-}
-
-impl<M> Default for SimulationBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Parses an engine name: `serial`, `sharded`, or `sharded:<n>`.
-pub fn parse_engine(s: &str) -> Option<EngineMode> {
-    match s {
-        "serial" => Some(EngineMode::Serial),
-        "sharded" => Some(EngineMode::Sharded { shards: DEFAULT_SHARDS }),
-        _ => {
-            let n: usize = s.strip_prefix("sharded:")?.parse().ok()?;
-            (n >= 1).then_some(EngineMode::Sharded { shards: n })
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Causal event stamps.
@@ -186,25 +27,26 @@ pub fn parse_engine(s: &str) -> Option<EngineMode> {
 //     instant that is currently executing gets `current depth + 1`, an event
 //     scheduled for a later instant gets 0. Within one instant, everything
 //     already popped has a strictly smaller depth than anything a handler can
-//     still push, so pop order equals stamp order — the property that lets
-//     shard-local streams be merged back into the serial total order.
+//     still push, so pop order equals stamp order.
 //   * `origin`  — the node whose handler (or forwarding hop) scheduled the
 //     event; two reserved origins order engine-scheduled events after all
 //     node-scheduled ones at the same depth.
 //   * `counter` — per-origin push counter.
 //
 // All three components are derivable from the scheduling node's own state,
-// so a shard computes exactly the stamps the serial engine would.
+// so the order never depends on how unrelated nodes interleave. The stamp is
+// the tie-break every committed baseline was generated under; changing any
+// component rewrites every trace fingerprint and BENCH document.
 // ---------------------------------------------------------------------------
 
-pub(crate) const INJECT_ORIGIN: u32 = u32::MAX;
-pub(crate) const FAULT_ORIGIN: u32 = u32::MAX - 1;
+const INJECT_ORIGIN: u32 = u32::MAX;
+const FAULT_ORIGIN: u32 = u32::MAX - 1;
 
-pub(crate) fn pack_stamp(depth: u16, origin: u32, counter: u64) -> u128 {
+fn pack_stamp(depth: u16, origin: u32, counter: u64) -> u128 {
     ((depth as u128) << 96) | ((origin as u128) << 64) | counter as u128
 }
 
-pub(crate) fn stamp_depth(stamp: u128) -> u16 {
+fn stamp_depth(stamp: u128) -> u16 {
     (stamp >> 96) as u16
 }
 
@@ -216,7 +58,7 @@ pub(crate) fn stamp_depth(stamp: u128) -> u16 {
 /// the (potentially fat) envelopes stay put. Freed slots are recycled LIFO,
 /// so steady-state traffic performs no allocation once the slab has grown to
 /// its high-water mark.
-pub(crate) struct EnvSlab<M> {
+struct EnvSlab<M> {
     slots: Vec<Option<Envelope<M>>>,
     free: Vec<u32>,
     live: u32,
@@ -224,11 +66,11 @@ pub(crate) struct EnvSlab<M> {
 }
 
 impl<M> EnvSlab<M> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         EnvSlab { slots: Vec::new(), free: Vec::new(), live: 0, high_water: 0 }
     }
 
-    pub(crate) fn insert(&mut self, env: Envelope<M>) -> u32 {
+    fn insert(&mut self, env: Envelope<M>) -> u32 {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
@@ -246,38 +88,30 @@ impl<M> EnvSlab<M> {
         }
     }
 
-    pub(crate) fn take(&mut self, idx: u32) -> Envelope<M> {
+    fn take(&mut self, idx: u32) -> Envelope<M> {
         let env = self.slots[idx as usize].take().expect("envelope already taken");
         self.free.push(idx);
         self.live -= 1;
         env
     }
 
-    pub(crate) fn get(&self, idx: u32) -> &Envelope<M> {
+    fn get(&self, idx: u32) -> &Envelope<M> {
         self.slots[idx as usize].as_ref().expect("envelope already taken")
     }
 
     /// Highest number of envelopes ever live at once.
-    pub(crate) fn high_water(&self) -> u32 {
+    fn high_water(&self) -> u32 {
         self.high_water
     }
 
-    /// Folds in another slab's high water (largest per-executor-lane
-    /// population wins).
-    pub(crate) fn raise_high_water(&mut self, hw: u32) {
-        if hw > self.high_water {
-            self.high_water = hw;
-        }
-    }
-
     /// Committed heap footprint of the slab's own storage in bytes.
-    pub(crate) fn arena_bytes(&self) -> u64 {
+    fn arena_bytes(&self) -> u64 {
         (self.slots.capacity() * std::mem::size_of::<Option<Envelope<M>>>()
             + self.free.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
-pub(crate) enum EventKind {
+enum EventKind {
     /// Arrival of a message at `hop` (which may forward it further).
     Deliver {
         /// The node the message arrives at next.
@@ -306,124 +140,74 @@ pub(crate) enum EventKind {
 
 /// Outcome of [`Core::step_inner`]: fault events bubble up to the
 /// [`Simulation`], which owns the fault-action table.
-pub(crate) enum Stepped {
+enum Stepped {
     Idle,
     Events(u64),
     Fault { index: usize },
 }
 
-/// The event-processing core shared by the serial engine and every shard
-/// lane. Holds exactly the state one event needs to execute; all vectors are
-/// indexed by global node/link id in both modes (a lane simply leaves the
-/// slots it does not own empty), so the processing code is the same bytes
-/// for both executors.
-pub(crate) struct Core<M> {
-    pub(crate) time: SimTime,
+/// The event-processing core: exactly the state one event needs to execute,
+/// with every vector indexed by node or link id.
+struct Core<M> {
+    time: SimTime,
     /// Depth component of the stamp of the event currently executing.
-    pub(crate) cur_depth: u16,
-    /// Full stamp of the event currently executing (buffer sort key).
-    pub(crate) cur_stamp: u128,
-    pub(crate) nodes: Vec<Option<Box<dyn Node<M> + Send>>>,
-    pub(crate) rngs: Vec<DetRng>,
+    cur_depth: u16,
+    nodes: Vec<Option<Box<dyn Node<M> + Send>>>,
+    rngs: Vec<DetRng>,
     /// Per-node event push counters (stamp `counter` component).
-    pub(crate) push_counters: Vec<u64>,
+    push_counters: Vec<u64>,
     /// Per-node timer-id counters (see [`Context::set_timer`]).
-    pub(crate) timer_counters: Vec<u64>,
+    timer_counters: Vec<u64>,
     /// Whether each node is currently crashed (blackholed, timers voided).
-    pub(crate) crashed: Vec<bool>,
+    crashed: Vec<bool>,
     /// Incarnation counter per node; bumped at crash to void stale timers.
-    pub(crate) epochs: Vec<u64>,
-    pub(crate) links: Vec<Link>,
+    epochs: Vec<u64>,
+    links: Vec<Link>,
     /// Per-link RNG streams (loss draws, jitter), derived from the master
-    /// seed by link id — independent of which executor runs the transmit.
-    pub(crate) link_rngs: Vec<DetRng>,
-    pub(crate) link_ends: Arc<Vec<(NodeId, NodeId)>>,
+    /// seed by link id.
+    link_rngs: Vec<DetRng>,
+    link_ends: Vec<(NodeId, NodeId)>,
     /// adjacency[src] -> (dst -> link), deterministic order.
-    pub(crate) adjacency: Arc<Vec<BTreeMap<u32, LinkId>>>,
-    /// Static propagation delay per link in ns (routing weights). Shared so
-    /// lanes can route across links they do not own.
-    pub(crate) static_delays: Arc<Vec<u64>>,
+    adjacency: Vec<BTreeMap<u32, LinkId>>,
+    /// Static propagation delay per link in ns (routing weights).
+    static_delays: Vec<u64>,
     /// Per-source next-hop tables, computed lazily, cleared on topology change.
-    pub(crate) route_cache: HashMap<u32, Vec<Option<(u32, LinkId)>>>,
-    pub(crate) queue: TimerWheel<EventKind, u128>,
+    route_cache: HashMap<u32, Vec<Option<(u32, LinkId)>>>,
+    queue: TimerWheel<EventKind, u128>,
     /// In-flight envelopes referenced by queue entries (see [`EnvSlab`]).
-    pub(crate) env_slab: EnvSlab<M>,
-    pub(crate) cancelled_timers: HashSet<u64>,
+    env_slab: EnvSlab<M>,
+    cancelled_timers: HashSet<u64>,
     /// The recycled op arena handed to [`Context`] during dispatch. Dispatch
     /// is never re-entrant, so one buffer serves every handler; it grows to
     /// the widest op burst and is then reused allocation-free.
-    pub(crate) ops_arena: Vec<Op<M>>,
+    ops_arena: Vec<Op<M>>,
     /// Widest op burst a single dispatch ever produced.
-    pub(crate) ops_high_water: u64,
-    pub(crate) metrics: MetricsRegistry,
-    pub(crate) events_processed: u64,
-    /// Per-node processed-event counts; feeds the rate-weighted shard
-    /// partitioner (observed rates beat static estimates on replans).
-    pub(crate) node_events: Vec<u64>,
+    ops_high_water: u64,
+    metrics: MetricsRegistry,
+    events_processed: u64,
     /// Op-arena reuse counters, flushed to `engine.ops_pool.*` at run end.
     /// A hit is a dispatch served entirely from committed capacity; a miss
     /// is one that had to grow the arena.
-    pub(crate) pool_hits: u64,
-    pub(crate) pool_misses: u64,
-    /// Sharded-mode runs that found no feasible plan and ran serially,
-    /// flushed to `engine.fallback_serial` at run end.
-    pub(crate) fallback_serial: u64,
-    pub(crate) trace: Option<Trace>,
+    pool_hits: u64,
+    pool_misses: u64,
+    trace: Option<Trace>,
     /// Passive engine-boundary observer (see [`crate::observe`]).
-    pub(crate) observer: Option<Box<dyn SimObserver>>,
-    // --- shard-lane state; inert under the serial executor ---
-    /// Lane mode: trace entries and observer events are buffered with their
-    /// stamps instead of being emitted directly, for merge at the barrier.
-    pub(crate) buffered: bool,
-    pub(crate) trace_on: bool,
-    pub(crate) observing: bool,
-    /// Buffered trace entries, struct-of-arrays: the `(time, stamp)` merge
-    /// keys live apart from the payloads so the k-way barrier merge scans a
-    /// dense key lane per shard.
-    pub(crate) trace_keys: Vec<(SimTime, u128)>,
-    /// Payloads parallel to `trace_keys`.
-    pub(crate) trace_items: Vec<TraceEvent>,
-    /// Buffered observer-event merge keys (same layout as `trace_keys`).
-    pub(crate) obs_keys: Vec<(SimTime, u128)>,
-    /// Payloads parallel to `obs_keys`.
-    pub(crate) obs_items: Vec<OwnedSimEvent>,
-    /// Shard owning each node (lane mode only).
-    pub(crate) shard_of: Option<Arc<Vec<u32>>>,
-    pub(crate) my_shard: u32,
-    /// Cross-shard deliveries produced this window, per destination shard.
-    pub(crate) outboxes: Vec<Outbox<M>>,
-    /// Cross-shard deliveries received at a barrier, awaiting drain into the
-    /// local queue on the lane's next dispatch (one buffer per exchange).
-    pub(crate) inboxes: Vec<Outbox<M>>,
-    /// Earliest arrival across `inboxes` in ns (`u64::MAX` when empty).
-    pub(crate) inbox_min_ns: u64,
-    /// Earliest arrival queued per destination outbox this window
-    /// (`u64::MAX` where that outbox is empty).
-    pub(crate) outbox_mins: Vec<u64>,
-    /// Earliest arrival across all outboxes this window (`u64::MAX` when no
-    /// cross-shard send happened). Bounds adaptive solo windows.
-    pub(crate) outbox_min_ns: u64,
-    /// Recycled cross-shard exchange buffers.
-    pub(crate) spare_boxes: Vec<Outbox<M>>,
+    observer: Option<Box<dyn SimObserver>>,
     /// `net.sent` kept as a plain field on the hot path, flushed to the
     /// metrics registry at run end.
-    pub(crate) sent_count: u64,
+    sent_count: u64,
     /// `net.delivered` kept as a plain field, flushed at run end.
-    pub(crate) delivered_count: u64,
+    delivered_count: u64,
     /// `net.delivery_latency_ns` samples kept as a plain histogram, merged
     /// into the registry at run end.
-    pub(crate) delivery_hist: Histogram,
+    delivery_hist: Histogram,
 }
 
-/// One shard-pair outbox: stamped cross-shard deliveries awaiting exchange.
-pub(crate) type Outbox<M> = Vec<(SimTime, u128, NodeId, Envelope<M>)>;
-
 impl<M> Core<M> {
-    pub(crate) fn new_serial() -> Self {
+    fn new() -> Self {
         Core {
             time: SimTime::ZERO,
             cur_depth: 0,
-            cur_stamp: 0,
             nodes: Vec::new(),
             rngs: Vec::new(),
             push_counters: Vec::new(),
@@ -432,9 +216,9 @@ impl<M> Core<M> {
             epochs: Vec::new(),
             links: Vec::new(),
             link_rngs: Vec::new(),
-            link_ends: Arc::new(Vec::new()),
-            adjacency: Arc::new(Vec::new()),
-            static_delays: Arc::new(Vec::new()),
+            link_ends: Vec::new(),
+            adjacency: Vec::new(),
+            static_delays: Vec::new(),
             route_cache: HashMap::new(),
             queue: TimerWheel::new(),
             env_slab: EnvSlab::new(),
@@ -443,27 +227,10 @@ impl<M> Core<M> {
             ops_high_water: 0,
             metrics: MetricsRegistry::new(),
             events_processed: 0,
-            node_events: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
-            fallback_serial: 0,
             trace: None,
             observer: None,
-            buffered: false,
-            trace_on: false,
-            observing: false,
-            trace_keys: Vec::new(),
-            trace_items: Vec::new(),
-            obs_keys: Vec::new(),
-            obs_items: Vec::new(),
-            shard_of: None,
-            my_shard: 0,
-            outboxes: Vec::new(),
-            inboxes: Vec::new(),
-            inbox_min_ns: u64::MAX,
-            outbox_mins: Vec::new(),
-            outbox_min_ns: u64::MAX,
-            spare_boxes: Vec::new(),
             sent_count: 0,
             delivered_count: 0,
             delivery_hist: Histogram::new(),
@@ -478,77 +245,14 @@ impl<M> Core<M> {
         pack_stamp(depth, origin.0, *counter)
     }
 
-    /// Enqueues a delivery, diverting it to the destination shard's outbox
-    /// when it crosses a shard boundary (lane mode only).
-    fn push_deliver(&mut self, at: SimTime, stamp: u128, hop: NodeId, env: Envelope<M>) {
-        if let Some(map) = &self.shard_of {
-            let dest = map[hop.index()];
-            if dest != self.my_shard {
-                let d = dest as usize;
-                let ns = at.as_nanos();
-                if ns < self.outbox_mins[d] {
-                    self.outbox_mins[d] = ns;
-                }
-                if ns < self.outbox_min_ns {
-                    self.outbox_min_ns = ns;
-                }
-                self.outboxes[d].push((at, stamp, hop, env));
-                return;
-            }
-        }
-        let env = self.env_slab.insert(env);
-        self.queue.push(at, stamp, EventKind::Deliver { hop, env });
-    }
-
-    /// Earliest pending instant in this lane — local queue or an undrained
-    /// inbox — in ns (`u64::MAX` when idle).
-    pub(crate) fn earliest_pending_ns(&mut self) -> u64 {
-        let q = self.queue.peek_key().map_or(u64::MAX, |(at, _)| at.as_nanos());
-        q.min(self.inbox_min_ns)
-    }
-
-    /// Drains barrier-received cross-shard buffers into the local queue,
-    /// recycling the buffers. Runs before any event of a lane window.
-    pub(crate) fn drain_inboxes(&mut self) {
-        if self.inboxes.is_empty() {
-            return;
-        }
-        let mut bufs = std::mem::take(&mut self.inboxes);
-        for buf in &mut bufs {
-            for (at, stamp, hop, env) in buf.drain(..) {
-                debug_assert!(at >= self.time, "cross-shard delivery in a lane's past");
-                let env = self.env_slab.insert(env);
-                self.queue.push(at, stamp, EventKind::Deliver { hop, env });
-            }
-        }
-        self.spare_boxes.append(&mut bufs);
-        self.inboxes = bufs;
-        self.inbox_min_ns = u64::MAX;
-    }
-
     fn record_trace(&mut self, kind: TraceKind, src: NodeId, dst: NodeId, size_bytes: u32) {
-        if self.buffered {
-            if self.trace_on {
-                self.trace_keys.push((self.time, self.cur_stamp));
-                self.trace_items.push(TraceEvent { at: self.time, kind, src, dst, size_bytes });
-            }
-        } else if let Some(trace) = &mut self.trace {
+        if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent { at: self.time, kind, src, dst, size_bytes });
         }
     }
 
-    /// Hands `event` to the observer (if any) with a post-event view; in
-    /// lane mode the event is buffered for in-order replay at the barrier.
+    /// Hands `event` to the observer (if any) with a post-event view.
     fn notify(&mut self, event: SimEvent<'_>) {
-        if self.buffered {
-            if self.observing {
-                let owned = OwnedSimEvent::from_event(&event)
-                    .expect("fault/inject events never occur inside a shard window");
-                self.obs_keys.push((self.time, self.cur_stamp));
-                self.obs_items.push(owned);
-            }
-            return;
-        }
         let Some(mut observer) = self.observer.take() else { return };
         let view = SimView {
             time: self.time,
@@ -566,7 +270,7 @@ impl<M: 'static> Core<M> {
     /// following same-instant deliveries to the same node, which share one
     /// node borrow. Fault events advance the clock and bubble up for the
     /// owner of the fault table to execute.
-    pub(crate) fn step_inner(&mut self, budget: u64) -> Stepped {
+    fn step_inner(&mut self, budget: u64) -> Stepped {
         let (at, stamp, kind) = match self.queue.pop() {
             Some(e) => e,
             None => return Stepped::Idle,
@@ -574,7 +278,6 @@ impl<M: 'static> Core<M> {
         debug_assert!(at >= self.time, "time went backwards");
         self.time = at;
         self.cur_depth = stamp_depth(stamp);
-        self.cur_stamp = stamp;
         self.events_processed += 1;
         let mut processed = 1;
         match kind {
@@ -582,7 +285,6 @@ impl<M: 'static> Core<M> {
                 return Stepped::Fault { index };
             }
             EventKind::Timer { node, id, tag, epoch } => {
-                self.node_events[node.index()] += 1;
                 if self.cancelled_timers.remove(&id) {
                     return Stepped::Events(processed);
                 }
@@ -597,7 +299,6 @@ impl<M: 'static> Core<M> {
             }
             EventKind::Deliver { hop, env } => {
                 let env = self.env_slab.take(env);
-                self.node_events[hop.index()] += 1;
                 if self.crashed[hop.index()] {
                     // Crashed nodes blackhole traffic addressed to or
                     // forwarded through them.
@@ -640,11 +341,9 @@ impl<M: 'static> Core<M> {
                         match next {
                             Some((_, stamp, EventKind::Deliver { env, .. })) => {
                                 let env = self.env_slab.take(env);
-                                self.node_events[dst.index()] += 1;
                                 self.events_processed += 1;
                                 processed += 1;
                                 self.cur_depth = stamp_depth(stamp);
-                                self.cur_stamp = stamp;
                                 self.record_delivery(&env);
                                 let from = env.src;
                                 self.dispatch_node(
@@ -680,7 +379,7 @@ impl<M: 'static> Core<M> {
         });
     }
 
-    pub(crate) fn dispatch(&mut self, node_id: NodeId, what: Dispatch<M>) {
+    fn dispatch(&mut self, node_id: NodeId, what: Dispatch<M>) {
         let idx = node_id.index();
         let mut node = self.nodes[idx].take().expect("re-entrant dispatch");
         self.dispatch_node(&mut node, node_id, what);
@@ -779,7 +478,8 @@ impl<M: 'static> Core<M> {
         match self.links[li].transmit(self.time, env.size_bytes, &mut self.link_rngs[li]) {
             Transmit::Deliver { at } => {
                 let stamp = self.child_stamp(at, at_node);
-                self.push_deliver(at, stamp, NodeId(next_node), env);
+                let env = self.env_slab.insert(env);
+                self.queue.push(at, stamp, EventKind::Deliver { hop: NodeId(next_node), env });
             }
             Transmit::Drop(reason) => {
                 let metric = match reason {
@@ -840,8 +540,7 @@ impl<M: 'static> Core<M> {
 ///
 /// The engine owns all nodes, links, the event queue, per-node RNG streams,
 /// and a metrics registry. Event order is total — (time, causal stamp) —
-/// so a run is a pure function of configuration and seed, regardless of the
-/// selected [`EngineMode`].
+/// so a run is a pure function of configuration and seed.
 ///
 /// # Examples
 ///
@@ -871,74 +570,26 @@ impl<M: 'static> Core<M> {
 /// assert_eq!(sim.time(), SimTime::from_millis(1));
 /// ```
 pub struct Simulation<M> {
-    pub(crate) core: Core<M>,
+    core: Core<M>,
     names: Vec<String>,
     /// Scripted fault actions, indexed by `EventKind::Fault` events.
     fault_actions: Vec<FaultAction>,
     master_rng: DetRng,
     started: bool,
     inject_counter: u64,
-    pub(crate) engine: EngineConfig,
-    /// Bumped on every topology change; invalidates the shard plan.
-    pub(crate) topo_version: u64,
-    pub(crate) shard_cache: Option<crate::shard::ShardCache>,
-    /// Caller-supplied relative event-rate estimates per node
-    /// (see [`Simulation::set_rate_hint`]); 0 = no estimate.
-    pub(crate) rate_hints: Vec<u64>,
 }
 
 impl<M: 'static> Simulation<M> {
-    /// Creates an empty simulation with the given master seed and the
-    /// default [`EngineConfig`] (serial). Use [`Simulation::builder`] to
-    /// pick the engine per run.
+    /// Creates an empty simulation with the given master seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, EngineConfig::default())
-    }
-
-    /// Creates an empty simulation with an explicit engine configuration.
-    pub fn with_config(seed: u64, config: EngineConfig) -> Self {
         Simulation {
-            core: Core::new_serial(),
+            core: Core::new(),
             names: Vec::new(),
             fault_actions: Vec::new(),
             master_rng: DetRng::new(seed),
             started: false,
             inject_counter: 0,
-            engine: config,
-            topo_version: 0,
-            shard_cache: None,
-            rate_hints: Vec::new(),
         }
-    }
-
-    /// Starts building a simulation: master seed plus per-run
-    /// [`EngineConfig`].
-    pub fn builder() -> SimulationBuilder<M> {
-        SimulationBuilder::new()
-    }
-
-    /// Selects the executor for subsequent runs, keeping the other engine
-    /// knobs. Safe to change between runs; the produced traces, metrics,
-    /// and node states are identical either way.
-    pub fn set_engine(&mut self, mode: EngineMode) {
-        self.engine.mode = mode;
-        self.shard_cache = None;
-    }
-
-    /// The currently selected executor.
-    pub fn engine(&self) -> EngineMode {
-        self.engine.mode
-    }
-
-    /// Replaces the whole engine configuration for subsequent runs.
-    pub fn set_engine_config(&mut self, config: EngineConfig) {
-        self.engine = config;
-        self.shard_cache = None;
-    }
-
-    /// The engine configuration in effect.
-    pub fn engine_config(&self) -> EngineConfig {
-        self.engine
     }
 
     /// Registers a node and returns its id. Nodes receive `on_start` in id
@@ -952,23 +603,8 @@ impl<M: 'static> Simulation<M> {
         self.core.timer_counters.push(0);
         self.core.crashed.push(false);
         self.core.epochs.push(0);
-        self.core.node_events.push(0);
-        self.rate_hints.push(0);
-        Arc::make_mut(&mut self.core.adjacency).push(BTreeMap::new());
-        self.topo_version += 1;
+        self.core.adjacency.push(BTreeMap::new());
         id
-    }
-
-    /// Supplies a relative event-rate estimate for `node`, used by the
-    /// sharded engine's partitioner to balance shards by expected work
-    /// instead of node count. Only ratios matter; 0 (the default) means
-    /// "no estimate" and falls back to a structural guess (node degree).
-    /// Observed per-node event counts from earlier runs of the same
-    /// simulation take precedence over hints when the plan is recomputed.
-    /// Never affects results — only which shard executes a node.
-    pub fn set_rate_hint(&mut self, node: NodeId, weight: u64) {
-        self.rate_hints[node.index()] = weight;
-        self.shard_cache = None;
     }
 
     /// Connects `a` and `b` with symmetric directed links of configuration
@@ -995,11 +631,10 @@ impl<M: 'static> Simulation<M> {
         // (node ids are < 2^32).
         const LINK_STREAM: u64 = 0x4C49_4E4B_0000_0000; // "LINK"
         self.core.link_rngs.push(self.master_rng.derive(LINK_STREAM | id.0 as u64));
-        Arc::make_mut(&mut self.core.link_ends).push((from, to));
-        Arc::make_mut(&mut self.core.static_delays).push(cfg.delay().as_nanos());
-        Arc::make_mut(&mut self.core.adjacency)[from.index()].insert(to.0, id);
+        self.core.link_ends.push((from, to));
+        self.core.static_delays.push(cfg.delay().as_nanos());
+        self.core.adjacency[from.index()].insert(to.0, id);
         self.core.route_cache.clear();
-        self.topo_version += 1;
         id
     }
 
@@ -1185,7 +820,7 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    pub(crate) fn execute_fault(&mut self, index: usize) {
+    fn execute_fault(&mut self, index: usize) {
         let action = self.fault_actions[index].clone();
         self.core.metrics.inc("fault.injected");
         self.core.metrics.inc(action.metric());
@@ -1248,10 +883,9 @@ impl<M: 'static> Simulation<M> {
     /// The simulation-wide metrics registry.
     ///
     /// Engine self-observation counters (the `engine.` namespace: op-pool
-    /// hit rates, shard window counts) are flushed here at the end of each
-    /// `run_*` call; they describe the executor, not the simulated world,
-    /// and are the one part of the registry allowed to differ between
-    /// [`EngineMode`]s.
+    /// hit rates and arena high-water marks) are flushed here at the end of
+    /// each `run_*` call; they describe the executor, not the simulated
+    /// world.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
     }
@@ -1265,7 +899,7 @@ impl<M: 'static> Simulation<M> {
     /// (send/inject/delivery/drop/no-route/timer/fault). Replaces any
     /// previously installed observer. Observation never perturbs the run:
     /// event order, metrics, and trace fingerprints are identical with or
-    /// without one, under either engine.
+    /// without one.
     pub fn set_observer(&mut self, observer: impl SimObserver + 'static) {
         self.core.observer = Some(Box::new(observer));
     }
@@ -1306,7 +940,7 @@ impl<M: 'static> Simulation<M> {
         self.core.notify(SimEvent::Injected { src, dst, size_bytes });
     }
 
-    pub(crate) fn ensure_started(&mut self) {
+    fn ensure_started(&mut self) {
         if self.started {
             return;
         }
@@ -1319,10 +953,9 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    /// One serial step: processes up to `budget` events (fault actions
-    /// included), returning how many were consumed. Shared by the serial
-    /// run loops and the sharded engine's serialized fault instants.
-    pub(crate) fn step_budget(&mut self, budget: u64) -> u64 {
+    /// Processes up to `budget` events (fault actions included), returning
+    /// how many were consumed.
+    fn step_budget(&mut self, budget: u64) -> u64 {
         match self.core.step_inner(budget) {
             Stepped::Idle => 0,
             Stepped::Events(n) => n,
@@ -1337,7 +970,7 @@ impl<M: 'static> Simulation<M> {
     /// into the metrics registry: the `engine.` self-observation counters
     /// plus the per-event `net.sent` / `net.delivered` / delivery-latency
     /// aggregates.
-    pub(crate) fn flush_engine_metrics(&mut self) {
+    fn flush_engine_metrics(&mut self) {
         if self.core.pool_hits > 0 {
             let v = std::mem::take(&mut self.core.pool_hits);
             self.core.metrics.add("engine.ops_pool.hit", v);
@@ -1345,10 +978,6 @@ impl<M: 'static> Simulation<M> {
         if self.core.pool_misses > 0 {
             let v = std::mem::take(&mut self.core.pool_misses);
             self.core.metrics.add("engine.ops_pool.miss", v);
-        }
-        if self.core.fallback_serial > 0 {
-            let v = std::mem::take(&mut self.core.fallback_serial);
-            self.core.metrics.add("engine.fallback_serial", v);
         }
         // Memory-pressure gauges (max semantics: the counter is raised to the
         // observed high-water, never lowered), so overload runs expose their
@@ -1383,23 +1012,6 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    /// Records that a sharded run could not be planned and fell back to the
-    /// serial executor: bumps the `engine.fallback_serial` counter and, when
-    /// tracing is enabled, appends an [`TraceKind::EngineFallback`] record —
-    /// the fallback is an explicit signal, never silent.
-    pub(crate) fn note_serial_fallback(&mut self) {
-        self.core.fallback_serial += 1;
-        if let Some(trace) = &mut self.core.trace {
-            trace.push(TraceEvent {
-                at: self.core.time,
-                kind: TraceKind::EngineFallback,
-                src: NodeId(0),
-                dst: NodeId(0),
-                size_bytes: 0,
-            });
-        }
-    }
-
     /// Processes a single event; returns its time, or `None` if idle.
     pub fn step(&mut self) -> Option<SimTime> {
         self.ensure_started();
@@ -1411,20 +1023,11 @@ impl<M: 'static> Simulation<M> {
             None
         }
     }
-}
 
-impl<M: Send + 'static> Simulation<M> {
     /// Runs until the event queue is empty or `limit` events were processed
     /// in this call. Returns the number of events processed.
-    ///
-    /// Under [`EngineMode::Sharded`] the cap is enforced at window
-    /// granularity: the run stops at the first barrier at or past `limit`.
     pub fn run_until_idle_capped(&mut self, limit: u64) -> u64 {
         self.ensure_started();
-        if let Some(n) = crate::shard::try_run_sharded(self, SimTime::MAX, limit) {
-            self.flush_engine_metrics();
-            return n;
-        }
         let mut n = 0;
         while n < limit {
             let processed = self.step_budget(limit - n);
@@ -1447,13 +1050,11 @@ impl<M: Send + 'static> Simulation<M> {
     /// the queue emptied earlier than that.
     pub fn run_until(&mut self, until: SimTime) {
         self.ensure_started();
-        if crate::shard::try_run_sharded(self, until, u64::MAX).is_none() {
-            while let Some((at, _)) = self.core.queue.peek_key() {
-                if at > until {
-                    break;
-                }
-                self.step_budget(u64::MAX);
+        while let Some((at, _)) = self.core.queue.peek_key() {
+            if at > until {
+                break;
             }
+            self.step_budget(u64::MAX);
         }
         if self.core.time < until {
             self.core.time = until;
@@ -1462,7 +1063,7 @@ impl<M: Send + 'static> Simulation<M> {
     }
 }
 
-pub(crate) enum Dispatch<M> {
+enum Dispatch<M> {
     Start,
     Message(NodeId, M),
     Timer(Timer),
@@ -1929,15 +1530,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_parse() {
-        assert_eq!(parse_engine("serial"), Some(EngineMode::Serial));
-        assert_eq!(parse_engine("sharded"), Some(EngineMode::Sharded { shards: DEFAULT_SHARDS }));
-        assert_eq!(parse_engine("sharded:2"), Some(EngineMode::Sharded { shards: 2 }));
-        assert_eq!(parse_engine("sharded:0"), None);
-        assert_eq!(parse_engine("bogus"), None);
-    }
-
-    #[test]
     fn stamps_pack_and_unpack() {
         let s = pack_stamp(3, 7, 42);
         assert_eq!(stamp_depth(s), 3);
@@ -1946,21 +1538,87 @@ mod tests {
         assert!(pack_stamp(0, FAULT_ORIGIN, 9) < pack_stamp(0, INJECT_ORIGIN, 0));
     }
 
+    /// A lossy, jittery ping-pong pair plus a ticking counter that crashes
+    /// and restarts mid-run: every engine boundary kind occurs.
+    fn busy_sim(seed: u64) -> Simulation<Msg> {
+        let mut sim = Simulation::new(seed);
+        let a = sim.add_node("a", Pinger::new(100));
+        let b = sim.add_node("b", Pinger::new(0));
+        let c = sim.add_node("counter", Counter::new());
+        sim.node_as_mut::<Pinger>(a).unwrap().peer = Some(b);
+        let cfg = LinkConfig::new(SimDuration::from_millis(3))
+            .with_jitter(SimDuration::from_millis(1))
+            .with_loss(crate::link::LossModel::Iid { p: 0.05 });
+        sim.connect(a, b, cfg);
+        sim.connect(b, c, LinkConfig::new(SimDuration::from_millis(1)));
+        let plan = crate::fault::FaultPlan::new().crash(
+            c,
+            SimTime::from_millis(25),
+            Some(SimTime::from_millis(55)),
+        );
+        sim.apply_fault_plan(plan);
+        sim.enable_trace(1 << 16);
+        sim
+    }
+
     #[test]
-    fn builder_carries_the_engine_config_per_run() {
-        let sim: Simulation<Msg> = Simulation::builder()
-            .seed(11)
-            .engine(EngineMode::Sharded { shards: 4 })
-            .adaptive_lookahead(false)
-            .build();
-        assert_eq!(sim.engine(), EngineMode::Sharded { shards: 4 });
-        assert!(!sim.engine_config().adaptive_lookahead);
-        // A second simulation is unaffected: nothing process-global moved.
-        let other: Simulation<Msg> = Simulation::new(12);
-        assert_eq!(other.engine(), EngineMode::Serial);
-        assert!(other.engine_config().adaptive_lookahead);
-        // Explicit configs stand on their own too.
-        let sim: Simulation<Msg> = Simulation::with_config(3, EngineConfig::sharded(2));
-        assert_eq!(sim.engine(), EngineMode::Sharded { shards: 2 });
+    fn capped_runs_and_stepping_resume_the_same_run() {
+        // The counter ticks forever, so every run here is bounded.
+        let end = SimTime::from_millis(2_000);
+        let mut whole = busy_sim(5);
+        whole.run_until(end);
+
+        let mut pieces = busy_sim(5);
+        assert_eq!(pieces.run_until_idle_capped(50), 50, "the cap is exact");
+        assert!(pieces.step().is_some());
+        pieces.run_until(end);
+
+        assert_eq!(pieces.events_processed(), whole.events_processed());
+        assert_eq!(pieces.trace().unwrap().fingerprint(), whole.trace().unwrap().fingerprint());
+        assert_eq!(pieces.metrics().snapshot(), whole.metrics().snapshot());
+    }
+
+    #[test]
+    fn observer_stream_follows_the_trace_order() {
+        type Seen = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, u8, NodeId, NodeId)>>>;
+        let seen: Seen = Default::default();
+        let mut sim = busy_sim(3);
+        let sink = std::sync::Arc::clone(&seen);
+        sim.set_observer(move |view: &SimView<'_>, event: &SimEvent<'_>| {
+            let none = NodeId(0);
+            let entry = match *event {
+                SimEvent::Sent { src, dst, .. } => (1, src, dst),
+                SimEvent::Delivered { src, dst, .. } => (2, src, dst),
+                SimEvent::Dropped { src, dst, .. } => (3, src, dst),
+                SimEvent::NoRoute { src, dst, .. } => (4, src, dst),
+                SimEvent::TimerFired { node, .. } => (5, node, node),
+                SimEvent::Fault { .. } => (6, none, none),
+                SimEvent::Injected { .. } => return,
+            };
+            sink.lock().unwrap().push((view.time(), entry.0, entry.1, entry.2));
+        });
+        sim.run_until(SimTime::from_millis(300));
+        let none = NodeId(0);
+        let traced: Vec<_> = sim
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .map(|ev| {
+                let (code, src, dst) = match ev.kind {
+                    TraceKind::Sent => (1, ev.src, ev.dst),
+                    TraceKind::Delivered => (2, ev.src, ev.dst),
+                    TraceKind::Dropped(_) => (3, ev.src, ev.dst),
+                    TraceKind::NoRoute => (4, ev.src, ev.dst),
+                    TraceKind::TimerFired { .. } => (5, ev.src, ev.dst),
+                    TraceKind::Fault { .. } => (6, none, none),
+                };
+                (ev.at, code, src, dst)
+            })
+            .collect();
+        let seen = seen.lock().unwrap();
+        assert!(seen.iter().any(|e| e.1 == 3), "the lossy link drops something");
+        assert_eq!(seen.iter().filter(|e| e.1 == 6).count(), 2, "crash and restart");
+        assert_eq!(*seen, traced);
     }
 }

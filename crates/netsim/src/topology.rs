@@ -185,175 +185,6 @@ impl std::fmt::Display for Region {
     }
 }
 
-/// Result of [`min_cut_partition`]: a shard assignment for every node plus
-/// the derived conservative lookahead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// Shard index per node (`0..shards`).
-    pub shard_of: Vec<u32>,
-    /// Minimum weight over edges whose endpoints land in different shards —
-    /// the conservative lookahead in ns. `u64::MAX` when no edge crosses a
-    /// shard boundary (disconnected shards can run unboundedly far apart).
-    pub lookahead_ns: u64,
-    /// Number of non-empty shards actually produced (`<= shards` requested).
-    pub shards: usize,
-}
-
-/// Deterministically partitions an undirected weighted graph into at most
-/// `shards` groups, cutting only the cheapest edges.
-///
-/// The heuristic raises a latency threshold `T` through the distinct edge
-/// weights and merges every edge with weight `< T`; the largest `T` that
-/// still leaves at least `shards` connected components wins (mirroring the
-/// blueprint's campus/cloud split, where intra-room links are orders of
-/// magnitude cheaper than the WAN). Components are then packed onto shards
-/// balanced by node count — largest first, ties toward the smaller minimum
-/// node id, each placed on the lightest shard.
-///
-/// `edges` are `(a, b, weight_ns)` and are treated as undirected; duplicate
-/// pairs keep their minimum weight. Nodes with no edges form their own
-/// components. The result is a pure function of the inputs.
-///
-/// Every node counts as one unit of load; use
-/// [`min_cut_partition_weighted`] to balance by expected event rate instead.
-pub fn min_cut_partition(node_count: usize, edges: &[(u32, u32, u64)], shards: usize) -> Partition {
-    min_cut_partition_weighted(node_count, edges, shards, &[])
-}
-
-/// [`min_cut_partition`] with per-node load weights: components are packed
-/// onto shards balancing the *sum of member weights* rather than the member
-/// count, so a few high-rate nodes (a cloud relay, a pooled-population
-/// flyweight standing in for thousands of clients) do not pile onto one
-/// shard alongside swarms of light leaves.
-///
-/// `weights[i]` is the relative expected event rate of node `i`; only ratios
-/// matter. An empty slice (or one shorter than `node_count`) falls back to
-/// weight 1 for the missing nodes, making the unweighted function a special
-/// case. The cut itself (which edges are severed) is unchanged — weights
-/// influence packing only, so the derived lookahead characteristics stay
-/// driven by link latency.
-pub fn min_cut_partition_weighted(
-    node_count: usize,
-    edges: &[(u32, u32, u64)],
-    shards: usize,
-    weights: &[u64],
-) -> Partition {
-    struct Dsu(Vec<u32>);
-    impl Dsu {
-        fn find(&mut self, x: u32) -> u32 {
-            let mut root = x;
-            while self.0[root as usize] != root {
-                root = self.0[root as usize];
-            }
-            let mut cur = x;
-            while self.0[cur as usize] != root {
-                let next = self.0[cur as usize];
-                self.0[cur as usize] = root;
-                cur = next;
-            }
-            root
-        }
-        fn union(&mut self, a: u32, b: u32) -> bool {
-            let (ra, rb) = (self.find(a), self.find(b));
-            if ra == rb {
-                return false;
-            }
-            // Root at the smaller id for determinism.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.0[hi as usize] = lo;
-            true
-        }
-    }
-
-    let shards = shards.max(1);
-    // Undirected-ize with minimum weight per pair, sorted by weight.
-    let mut undirected: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
-    for &(a, b, w) in edges {
-        if a == b {
-            continue;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        let entry = undirected.entry(key).or_insert(w);
-        *entry = (*entry).min(w);
-    }
-    let mut sorted: Vec<((u32, u32), u64)> = undirected.into_iter().collect();
-    sorted.sort_by_key(|&((a, b), w)| (w, a, b));
-
-    // Sweep the threshold upward: after merging all edges with weight < T,
-    // the component count is what a cut at T yields. Keep the largest T
-    // whose count still reaches `shards` (T = infinity merges nothing more,
-    // covering graphs that are disconnected outright).
-    let mut dsu = Dsu((0..node_count as u32).collect());
-    let mut components = node_count;
-    let mut best_threshold = None;
-    let mut i = 0;
-    while i < sorted.len() {
-        let threshold = sorted[i].1;
-        if components >= shards {
-            best_threshold = Some(threshold);
-        }
-        while i < sorted.len() && sorted[i].1 == threshold {
-            let ((a, b), _) = sorted[i];
-            if dsu.union(a, b) {
-                components -= 1;
-            }
-            i += 1;
-        }
-    }
-    if components >= shards {
-        best_threshold = Some(u64::MAX);
-    }
-
-    // Rebuild at the chosen threshold and collect components.
-    let mut dsu = Dsu((0..node_count as u32).collect());
-    if let Some(t) = best_threshold {
-        for &((a, b), w) in &sorted {
-            if w < t {
-                dsu.union(a, b);
-            }
-        }
-    } else {
-        // Even the full graph has fewer components than requested shards:
-        // merge everything and let the packing below spread what exists.
-        for &((a, b), _) in &sorted {
-            dsu.union(a, b);
-        }
-    }
-    let mut members: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
-    for node in 0..node_count as u32 {
-        members.entry(dsu.find(node)).or_default().push(node);
-    }
-
-    // Pack components onto shards, balanced by total member weight: largest
-    // first (ties toward the smaller root id), each onto the lightest shard
-    // (ties toward the lower shard index). With unit weights this reduces to
-    // the original node-count balancing.
-    let weight_of = |n: u32| weights.get(n as usize).copied().unwrap_or(1).max(1);
-    let mut comps: Vec<(u64, u32, Vec<u32>)> = members
-        .into_iter()
-        .map(|(root, nodes)| (nodes.iter().map(|&n| weight_of(n)).sum(), root, nodes))
-        .collect();
-    comps.sort_by_key(|&(w, root, _)| (std::cmp::Reverse(w), root));
-    let mut shard_of = vec![0u32; node_count];
-    let mut load = vec![0u64; shards];
-    for (w, _, nodes) in &comps {
-        let lightest = (0..shards).min_by_key(|&s| (load[s], s)).expect("shards >= 1");
-        load[lightest] += w;
-        for &n in nodes {
-            shard_of[n as usize] = lightest as u32;
-        }
-    }
-
-    let lookahead_ns = sorted
-        .iter()
-        .filter(|((a, b), _)| shard_of[*a as usize] != shard_of[*b as usize])
-        .map(|&(_, w)| w)
-        .min()
-        .unwrap_or(u64::MAX);
-    let populated = load.iter().filter(|&&l| l > 0).count();
-    Partition { shard_of, lookahead_ns, shards: populated.max(1) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,68 +251,5 @@ mod tests {
     fn backbone_delay_matches_matrix() {
         let cfg = Region::EastAsia.backbone_to(Region::Europe);
         assert_eq!(cfg.delay(), SimDuration::from_millis(90));
-    }
-
-    #[test]
-    fn partition_cuts_the_expensive_edges() {
-        // Two 3-node cliques at 1 ms joined by one 50 ms WAN edge.
-        let ms = 1_000_000;
-        let edges = vec![
-            (0, 1, ms),
-            (1, 2, ms),
-            (0, 2, ms),
-            (3, 4, ms),
-            (4, 5, ms),
-            (3, 5, ms),
-            (2, 3, 50 * ms),
-        ];
-        let p = min_cut_partition(6, &edges, 2);
-        assert_eq!(p.shards, 2);
-        assert_eq!(p.lookahead_ns, 50 * ms);
-        assert_eq!(p.shard_of[0], p.shard_of[1]);
-        assert_eq!(p.shard_of[1], p.shard_of[2]);
-        assert_eq!(p.shard_of[3], p.shard_of[4]);
-        assert_eq!(p.shard_of[4], p.shard_of[5]);
-        assert_ne!(p.shard_of[0], p.shard_of[3]);
-    }
-
-    #[test]
-    fn partition_balances_many_components_onto_few_shards() {
-        // Six isolated pairs at 1 ms, pairwise joined at 20 ms.
-        let ms = 1_000_000;
-        let mut edges = Vec::new();
-        for pair in 0u32..6 {
-            edges.push((2 * pair, 2 * pair + 1, ms));
-        }
-        for pair in 0u32..5 {
-            edges.push((2 * pair, 2 * pair + 2, 20 * ms));
-        }
-        let p = min_cut_partition(12, &edges, 4);
-        assert_eq!(p.shards, 4);
-        assert_eq!(p.lookahead_ns, 20 * ms);
-        let mut load = [0usize; 4];
-        for &s in &p.shard_of {
-            load[s as usize] += 1;
-        }
-        assert_eq!(load, [4, 4, 2, 2], "six pairs pack 2/2/1/1 components");
-    }
-
-    #[test]
-    fn partition_handles_degenerate_graphs() {
-        // Fewer components than shards: everything merges into one shard.
-        let p = min_cut_partition(2, &[(0, 1, 5)], 4);
-        assert_eq!(p.shards, 1);
-        assert_eq!(p.lookahead_ns, u64::MAX, "no crossing edges remain");
-        // No edges at all: four singletons spread across shards.
-        let p = min_cut_partition(4, &[], 4);
-        assert_eq!(p.shards, 4);
-        assert_eq!(p.lookahead_ns, u64::MAX);
-        // All-equal weights cannot be cut above zero cost but still split.
-        let p = min_cut_partition(4, &[(0, 1, 7), (1, 2, 7), (2, 3, 7)], 2);
-        assert!(p.shards >= 2);
-        assert_eq!(p.lookahead_ns, 7);
-        // Deterministic across calls.
-        let a = min_cut_partition(4, &[(0, 1, 7), (1, 2, 7), (2, 3, 7)], 2);
-        assert_eq!(a, p);
     }
 }

@@ -27,9 +27,6 @@ pub enum TraceKind {
         /// Discriminant of the executed [`FaultAction`](crate::FaultAction).
         code: u64,
     },
-    /// A sharded run found no feasible shard plan and fell back to the
-    /// serial executor (src/dst are meaningless; size is zero).
-    EngineFallback,
 }
 
 /// One trace record.
@@ -117,7 +114,6 @@ impl Trace {
                 TraceKind::TimerFired { tag } => 7 ^ (tag << 8),
                 TraceKind::Dropped(DropReason::NodeDown) => 8,
                 TraceKind::Fault { code } => 9 ^ (code << 8),
-                TraceKind::EngineFallback => 10,
             };
             mix(kind_code);
             mix(ev.src.index() as u64);

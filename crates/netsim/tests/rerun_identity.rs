@@ -1,18 +1,17 @@
-//! Property test: the serial and sharded executors are byte-identical on
-//! random topologies, fault plans, and seeds.
+//! Property test: a run is a pure function of its configuration and seed,
+//! on random topologies, fault plans, and seeds.
 //!
 //! Each case builds a random multi-campus topology (stars of varying size
-//! joined by a chain of slow WAN links — the shape the partitioner is meant
-//! to cut), loads it with chatty timer-driven nodes, overlays a random fault
-//! plan (link flaps, latency spikes, partitions, crash/restart), and runs it
-//! to a deadline under the serial engine and under sharded engines at 2 and
-//! 4 shards. Trace fingerprints, the full metrics snapshot (minus the
-//! `engine.` namespace, which describes the executor itself), the event
-//! count, and the final clock must all agree exactly.
+//! joined by a chain of slow WAN links), loads it with chatty timer-driven
+//! nodes, overlays a random fault plan (link flaps, latency spikes,
+//! partitions, crash/restart), and runs it to a deadline twice, plus once
+//! more with a passive observer installed. Trace fingerprints, the full
+//! metrics snapshot, the event count, the final clock, and the node states
+//! must all agree exactly.
 
 use metaclass_netsim::{
-    Context, EngineMode, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
-    SimDuration, SimTime, Simulation, Timer,
+    Context, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId, SimDuration,
+    SimEvent, SimTime, SimView, Simulation, Timer,
 };
 use proptest::prelude::*;
 
@@ -57,7 +56,7 @@ struct Topo {
     campuses: Vec<u8>,
     /// Intra-campus one-way delay in microseconds.
     lan_us: u64,
-    /// Inter-campus one-way delay in milliseconds (the lookahead source).
+    /// Inter-campus one-way delay in milliseconds.
     wan_ms: u64,
     /// Per-link i.i.d. loss probability.
     loss: f64,
@@ -75,7 +74,6 @@ struct Faults {
 
 fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) {
     let mut sim = Simulation::new(seed);
-    sim.set_engine(EngineMode::Serial);
     let mut gateways = Vec::new();
     let mut all = Vec::new();
     for (c, &size) in topo.campuses.iter().enumerate() {
@@ -160,19 +158,22 @@ fn run(
     seed: u64,
     topo: &Topo,
     faults: &Faults,
-    mode: EngineMode,
-) -> (u64, MetricsSnapshot, u64, SimTime, u64) {
+    observe: bool,
+) -> (u64, MetricsSnapshot, u64, SimTime, Vec<u64>) {
     let (mut sim, gateways, all) = build(seed, topo);
-    sim.set_engine(mode);
     sim.enable_trace(1 << 20);
+    if observe {
+        sim.set_observer(|_: &SimView<'_>, _: &SimEvent<'_>| {});
+    }
     sim.apply_fault_plan(fault_plan(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
+    let received = all.iter().map(|&n| sim.node_as::<Chatter>(n).unwrap().received).collect();
     (
         sim.trace().unwrap().fingerprint(),
-        sim.metrics().snapshot().without_prefix("engine."),
+        sim.metrics().snapshot(),
         sim.events_processed(),
         sim.time(),
-        sim.metrics().counter_value("engine.fallback_serial"),
+        received,
     )
 }
 
@@ -205,77 +206,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sharded_equals_serial(
+    fn same_seed_reruns_identically(
         seed in 0u64..1_000_000,
         topo in topo_strategy(),
         faults in faults_strategy(),
     ) {
-        let serial = run(seed, &topo, &faults, EngineMode::Serial);
-        prop_assert_eq!(serial.4, 0, "serial runs never count a fallback");
-        for shards in [2usize, 4] {
-            let sharded = run(seed, &topo, &faults, EngineMode::Sharded { shards });
-            prop_assert_eq!(serial.0, sharded.0, "trace fingerprint ({} shards)", shards);
-            prop_assert_eq!(&serial.1, &sharded.1, "metrics ({} shards)", shards);
-            prop_assert_eq!(serial.2, sharded.2, "event count ({} shards)", shards);
-            prop_assert_eq!(serial.3, sharded.3, "final clock ({} shards)", shards);
-            // Identity must come from genuinely sharded execution, not from
-            // a silent serial fallback masquerading as agreement.
-            prop_assert_eq!(sharded.4, 0, "unexpected serial fallback ({} shards)", shards);
-        }
+        let first = run(seed, &topo, &faults, false);
+        prop_assert!(first.2 > 0, "the run does work");
+        prop_assert_eq!(&first, &run(seed, &topo, &faults, false), "rerun");
+        prop_assert_eq!(&first, &run(seed, &topo, &faults, true), "observed rerun");
     }
-}
-
-/// A topology the partitioner cannot cut (one campus, zero-lookahead
-/// links): the sharded engine must fall back to serial — *visibly* — and
-/// still agree with the serial engine on everything except the fallback
-/// record itself.
-#[test]
-fn fallback_is_announced_and_otherwise_byte_identical() {
-    let topo = Topo { campuses: vec![4], lan_us: 0, wan_ms: 0, loss: 0.0, jitter_us: 0 };
-
-    let build_one = |mode: EngineMode| {
-        let (mut sim, _gw, _all) = build(7, &topo);
-        sim.set_engine(mode);
-        sim.enable_trace(1 << 16);
-        sim.run_until(SimTime::from_millis(260));
-        sim
-    };
-    let serial = build_one(EngineMode::Serial);
-    let sharded = build_one(EngineMode::Sharded { shards: 2 });
-
-    // The fallback is signalled in both the metric and the trace.
-    assert_eq!(serial.metrics().counter_value("engine.fallback_serial"), 0);
-    assert!(sharded.metrics().counter_value("engine.fallback_serial") > 0);
-    let fallback_records = |sim: &Simulation<u64>| {
-        sim.trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| e.kind == metaclass_netsim::TraceKind::EngineFallback)
-            .count()
-    };
-    assert_eq!(fallback_records(&serial), 0);
-    assert_eq!(
-        fallback_records(&sharded) as u64,
-        sharded.metrics().counter_value("engine.fallback_serial"),
-        "every counted fallback leaves a trace record"
-    );
-
-    // Everything but the executor's own namespace and trace records agrees.
-    assert_eq!(
-        serial.metrics().snapshot().without_prefix("engine."),
-        sharded.metrics().snapshot().without_prefix("engine."),
-    );
-    assert_eq!(serial.events_processed(), sharded.events_processed());
-    assert_eq!(serial.time(), sharded.time());
-    let world_events = |sim: &Simulation<u64>| {
-        sim.trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| e.kind != metaclass_netsim::TraceKind::EngineFallback)
-            .cloned()
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(world_events(&serial), world_events(&sharded));
 }

@@ -9,7 +9,6 @@
 use std::path::Path;
 
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::EngineConfig;
 
 use crate::explore::{explore, ExploreConfig, FoundViolation};
 use crate::regress::{RegressionCase, SCHEMA_VERSION};
@@ -25,8 +24,6 @@ options:
   --pooled N    add a flyweight pooled audience of N members to every
                 case's session (default 0 = population layer off)
   --write DIR   save shrunk violations as regression JSON under DIR
-  --engine E    execution engine: serial | sharded | sharded:<n>
-                (results are byte-identical either way; default serial)
   --scenario F  explore a workload spec (TOML or JSON) instead of the
                 classic two-campus session; the spec's own stress faults
                 ride along as fixed windows in every case
@@ -46,14 +43,7 @@ struct CliConfig {
 
 fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
     let mut cfg = CliConfig {
-        explore: ExploreConfig {
-            seed: 7,
-            cases: 200,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        },
+        explore: ExploreConfig { seed: 7, cases: 200, quick: true, pooled: 0, scenario: None },
         write_dir: None,
     };
     let mut i = 0;
@@ -78,14 +68,6 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
             }
             "--write" => {
                 cfg.write_dir = Some(args.get(i + 1).ok_or("--write needs a directory")?.clone());
-                i += 2;
-            }
-            "--engine" => {
-                let raw = args.get(i + 1).ok_or("--engine needs a value")?;
-                let mode = metaclass_netsim::parse_engine(raw).ok_or_else(|| {
-                    format!("--engine: unknown engine '{raw}' (serial | sharded | sharded:<n>)")
-                })?;
-                cfg.explore.engine = EngineConfig::from(mode);
                 i += 2;
             }
             "--scenario" => {
@@ -218,10 +200,6 @@ mod tests {
         assert_eq!(cfg.explore.cases, 5);
         assert!(!cfg.explore.quick);
         assert_eq!(cfg.explore.pooled, 32);
-        assert_eq!(cfg.explore.engine, EngineConfig::default());
-        let cfg = parse(&argv(&["--engine", "sharded:2"])).unwrap().unwrap();
-        assert_eq!(cfg.explore.engine, EngineConfig::sharded(2));
-        assert!(parse(&argv(&["--engine", "warp"])).is_err());
         assert!(parse(&argv(&["--bogus"])).is_err());
         assert!(parse(&argv(&["--seed"])).is_err());
         assert!(parse(&argv(&["--help"])).unwrap().is_none());

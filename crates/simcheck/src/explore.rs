@@ -11,7 +11,7 @@
 //! randomness — so `explore` output is byte-identical across reruns.
 
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::{DetRng, EngineConfig, SimTime};
+use metaclass_netsim::{DetRng, SimTime};
 
 use crate::oracle::{observer_for, shared, Oracle, Probe, Violation};
 use crate::plan::{event_count, generate_windows, lower, FaultWindow};
@@ -154,9 +154,6 @@ pub struct ExploreConfig {
     /// Flyweight pooled audience added to every case's session (0, the
     /// default, keeps the classic pool-free scenario).
     pub pooled: u64,
-    /// Execution engine each case's session runs on. Per-run state, so
-    /// explorations with different engines can share a process.
-    pub engine: EngineConfig,
     /// Workload spec every case's session is built from instead of the
     /// classic two-campus deployment (`--scenario FILE`). The spec's own
     /// stress faults become fixed windows prepended to each generated
@@ -230,7 +227,6 @@ pub fn explore_with(
         let mut scn =
             if cfg.quick { Scenario::quick(session_seed) } else { Scenario::full(session_seed) };
         scn.pooled_members = cfg.pooled;
-        scn.engine = cfg.engine;
         scn.spec = cfg.scenario.clone();
         let (_, topo) = scn.build();
         let space = scn.plan_space(&topo);
@@ -282,27 +278,60 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let cfg = ExploreConfig {
-            seed: 7,
-            cases: 3,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        };
+        let cfg = ExploreConfig { seed: 7, cases: 3, quick: true, pooled: 0, scenario: None };
         let a = explore(&cfg);
         let b = explore(&cfg);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.clean, b.clean);
-        let c = explore(&ExploreConfig {
-            seed: 8,
-            cases: 3,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        });
+        let c =
+            explore(&ExploreConfig { seed: 8, cases: 3, quick: true, pooled: 0, scenario: None });
         assert_ne!(a.fingerprint, c.fingerprint, "different seeds explore differently");
+    }
+
+    /// The classic, pooled and spec-driven scenarios all explore clean. The
+    /// pooled cases also exercise the pool-convergence checks, and the spec
+    /// rides its scripted loss burst as a fixed window in every case.
+    #[test]
+    fn classic_pooled_and_spec_explorations_are_clean() {
+        const SPEC: &str = r#"
+name = "clean_lab"
+pattern = "Lab"
+duration_ms = 2000
+cloud_region = "EastAsia"
+
+[[campuses]]
+name = "CWB"
+region = "EastAsia"
+students = 1
+presenter = true
+
+[[campuses]]
+name = "GZ"
+region = "EastAsia"
+students = 1
+presenter = false
+
+[[cohorts]]
+region = "Europe"
+learners = 2
+access = "ResidentialAccess"
+
+[[stress.faults]]
+kind = "LossBurst"
+campus = 1
+at_ms = 1000
+for_ms = 400
+"#;
+        let spec = ScenarioSpec::from_toml_str(SPEC).unwrap();
+        for cfg in [
+            ExploreConfig { seed: 7, cases: 15, quick: true, pooled: 0, scenario: None },
+            ExploreConfig { seed: 11, cases: 8, quick: true, pooled: 12, scenario: None },
+            ExploreConfig { seed: 5, cases: 6, quick: true, pooled: 0, scenario: Some(spec) },
+        ] {
+            let out = explore(&cfg);
+            let first = out.violations.first().map(|v| &v.violation);
+            assert_eq!(out.clean, cfg.cases, "seed {} pooled {}: {first:?}", cfg.seed, cfg.pooled);
+        }
     }
 
     /// The acceptance-criterion scenario: a deliberately broken invariant
@@ -315,14 +344,7 @@ mod tests {
             oracles.push(Box::new(CanaryOracle { trip_code: 1 })); // LinkDown
             oracles
         };
-        let cfg = ExploreConfig {
-            seed: 7,
-            cases: 20,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        };
+        let cfg = ExploreConfig { seed: 7, cases: 20, quick: true, pooled: 0, scenario: None };
         let out = explore_with(&cfg, &factory);
         let caught: Vec<_> =
             out.violations.iter().filter(|v| v.violation.oracle == "canary").collect();

@@ -12,7 +12,7 @@ use metaclass_core::{
 };
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
 use metaclass_netsim::{
-    EngineConfig, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
+    LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
 };
 
 use crate::plan::{FaultWindow, PlanSpace};
@@ -56,14 +56,11 @@ pub struct Scenario {
     /// for both scenario sizes — disables the population layer entirely, so
     /// standard explorations are unchanged.
     pub pooled_members: u64,
-    /// Execution engine the checked session runs on (per-run state, so
-    /// explorations with different engines can share a process).
-    pub engine: EngineConfig,
     /// Workload spec the checked session is built from instead of the
     /// classic two-campus Figure-3 deployment (`bench simcheck --scenario`).
     /// The spec supplies campuses, cohorts, mobility, and stress overlays;
-    /// the scenario keeps its tight heartbeat/overload tuning, time bounds,
-    /// and engine so exploration throughput is unchanged.
+    /// the scenario keeps its tight heartbeat/overload tuning and time
+    /// bounds so exploration throughput is unchanged.
     pub spec: Option<ScenarioSpec>,
 }
 
@@ -93,7 +90,6 @@ impl Scenario {
             },
             max_windows: 4,
             pooled_members: 0,
-            engine: EngineConfig::default(),
             spec: None,
         }
     }
@@ -114,7 +110,6 @@ impl Scenario {
             heartbeat: HeartbeatConfig::default(),
             max_windows: 6,
             pooled_members: 0,
-            engine: EngineConfig::default(),
             spec: None,
         }
     }
@@ -154,12 +149,10 @@ impl Scenario {
         let mut builder = match &self.spec {
             Some(spec) => spec
                 .session_builder(self.session_seed)
-                .engine_config(self.engine)
                 .server_config(cfg.server)
                 .client_config(cfg.client),
             None => SessionBuilder::new()
                 .seed(self.session_seed)
-                .engine_config(self.engine)
                 .activity(Activity::Lecture)
                 .server_config(cfg.server)
                 .client_config(cfg.client)

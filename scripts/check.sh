@@ -47,20 +47,16 @@ run "$BENCH" --validate results/BENCH_e5.json results/BENCH_e2.json \
 # every invariant oracle attached — including the overload oracles
 # (queue-bounds, admitted-liveness, shed-ladder-discipline), which every
 # scenario's flash-crowd phase engages. Exit code 1 means an oracle fired.
-# Run under both executors so the oracles also cover the sharded engine.
 run "$BENCH" simcheck --seed 7 --cases 25
-run "$BENCH" simcheck --seed 7 --cases 25 --engine sharded
 
 # Scenario-matrix smoke: sweep a canonical file-registered workload spec
 # and run the composed-stress spec (scripted faults + flash crowd) through
-# the simcheck oracles, on both engines. The full byte-identity matrix
-# lives in perf_gate.sh and the scenario-matrix CI job; this catches a
-# broken expander or spec parse early.
+# the simcheck oracles. The full byte-identity matrix lives in perf_gate.sh
+# and the scenario-matrix CI job; this catches a broken expander or spec
+# parse early.
 rm -f results/BENCH_scenario_lab.json
 run "$BENCH" --scenario scenarios/lab.toml --seeds 4 --quick --json
 run "$BENCH" --validate results/BENCH_scenario_lab.json scenarios/*.toml
 run "$BENCH" simcheck --seed 7 --cases 10 --scenario scenarios/stress.toml
-run "$BENCH" simcheck --seed 7 --cases 10 --scenario scenarios/stress.toml \
-    --engine sharded
 
 echo "==> all checks passed"

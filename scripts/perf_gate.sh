@@ -12,23 +12,10 @@
 #      baseline, or
 #   3. the timer-wheel scheduler loses its throughput edge over the
 #      binary-heap baseline on the fan-out microbench (ratio below
-#      PERF_GATE_MIN_SPEEDUP, default 1.1), or
-#   4. the sharded execution engine fails to reproduce any BENCH document
-#      byte-for-byte (the committed baselines double as the correctness
-#      oracle for the parallel engine), or
-#   5. the engine_shard criterion bench shows the sharded engine off its
-#      budget on the E3 topology: on hosts with >= 4 cores this is an
-#      affirmative speedup gate — serial/sharded_4 must reach
-#      PERF_GATE_SHARD_SPEEDUP (default 1.5) — on smaller hosts a real
-#      speedup is physically impossible, so the speedup gate is skipped
-#      with a visible notice and the gate instead bounds the coordination
-#      overhead at PERF_GATE_SHARD_OVERHEAD (default 2.0) times the serial
-#      wall time.
+#      PERF_GATE_MIN_SPEEDUP, default 1.1).
 #
-# The full shard-count sweep (serial, 1, 2, 4, 8) is printed as a
-# serial-vs-sharded delta table — per-row wall time, speedup over serial,
-# delta against the committed baseline, and the crossover shard count — and
-# written to results/TIMING_delta.txt for CI artifact upload.
+# The E3 one-simulated-second criterion median is printed beside its
+# committed baseline for the record; it is not gated.
 #
 # Wall-clock numbers are recorded in results/TIMING_current.json — kept
 # strictly outside the BENCH documents so those stay byte-reproducible.
@@ -43,8 +30,6 @@ cd "$(dirname "$0")/.."
 
 TOLERANCE="${PERF_GATE_TOLERANCE:-25}"
 MIN_SPEEDUP="${PERF_GATE_MIN_SPEEDUP:-1.1}"
-SHARD_SPEEDUP="${PERF_GATE_SHARD_SPEEDUP:-1.5}"
-SHARD_OVERHEAD="${PERF_GATE_SHARD_OVERHEAD:-2.0}"
 BASELINES=results/baselines
 ALL_EXPS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15"
 # File-registered scenario specs ride the same determinism gates: every
@@ -99,7 +84,7 @@ for _ in 1 2 3; do
 done
 echo "==> sweep wall time: e2=${e2_ms}ms e5=${e5_ms}ms"
 
-# --- fresh quick sweeps, both engines (the determinism source of truth) -----
+# --- fresh quick sweeps (the determinism source of truth) -------------------
 bench_files=""
 for exp in $ALL_EXPS $SCENARIOS; do
     bench_files="$bench_files results/BENCH_$exp.json"
@@ -113,15 +98,6 @@ fi
 # shellcheck disable=SC2086
 run "$BENCH" --validate $bench_files scenarios/*.toml
 
-serial_tmp=$(mktemp -d results/.serial.XXXXXX)
-trap 'rm -rf "$serial_tmp"' EXIT
-# shellcheck disable=SC2086
-cp $bench_files "$serial_tmp/"
-run "$BENCH" --exp all --seeds 4 --quick --json --engine sharded > /dev/null
-if [ "${#SCENARIO_ARGS[@]}" -gt 0 ]; then
-    run "$BENCH" "${SCENARIO_ARGS[@]}" --seeds 4 --quick --json --engine sharded > /dev/null
-fi
-
 # --- scheduler microbench: wheel must beat the heap baseline ----------------
 run cargo bench --offline -p metaclass-netsim --bench sched -- sched_fanout
 median_ns() {
@@ -130,67 +106,19 @@ median_ns() {
 wheel_ns=$(median_ns target/criterion/sched_fanout/wheel/stream_100x100/estimates.json)
 heap_ns=$(median_ns target/criterion/sched_fanout/heap/stream_100x100/estimates.json)
 
-# --- engine microbench: serial vs the full shard-count sweep on E3 ----------
-run cargo bench --offline -p metaclass-bench --bench engine_shard -- engine_shard
-eng_serial_ns=$(median_ns target/criterion/engine_shard/e3_one_second_serial/estimates.json)
-eng_shard1_ns=$(median_ns target/criterion/engine_shard/e3_one_second_sharded_1/estimates.json)
-eng_shard2_ns=$(median_ns target/criterion/engine_shard/e3_one_second_sharded_2/estimates.json)
-eng_shard4_ns=$(median_ns target/criterion/engine_shard/e3_one_second_sharded_4/estimates.json)
-eng_shard8_ns=$(median_ns target/criterion/engine_shard/e3_one_second_sharded_8/estimates.json)
+# --- E3 macrobench: one simulated second, recorded but not gated -----------
+run cargo bench --offline -p metaclass-bench --bench simulation -- e3_one_second
+e3_ns=$(median_ns target/criterion/session/e3_one_second/estimates.json)
 
-printf '{\n  "e2_quick_ms": %s,\n  "e5_quick_ms": %s,\n  "engine_shard_serial_ns": %s,\n  "engine_shard_sharded1_ns": %s,\n  "engine_shard_sharded2_ns": %s,\n  "engine_shard_sharded4_ns": %s,\n  "engine_shard_sharded8_ns": %s\n}\n' \
-    "$e2_ms" "$e5_ms" "${eng_serial_ns:-0}" "${eng_shard1_ns:-0}" \
-    "${eng_shard2_ns:-0}" "${eng_shard4_ns:-0}" "${eng_shard8_ns:-0}" \
-    > results/TIMING_current.json
+printf '{\n  "e2_quick_ms": %s,\n  "e5_quick_ms": %s,\n  "e3_one_second_ns": %s\n}\n' \
+    "$e2_ms" "$e5_ms" "${e3_ns:-0}" > results/TIMING_current.json
 
-# --- serial-vs-sharded delta table ------------------------------------------
-# One row per engine_shard config: wall time, speedup over serial, delta vs
-# the committed baseline (when it records that config), crossover marker.
-baseline_ns() {
-    sed -n "s/.*\"$1\": \([0-9.]*\).*/\1/p" "$BASELINES/TIMING_baseline.json" 2>/dev/null
-}
-delta_table() {
-    echo "engine_shard (E3, one simulated second) — serial vs sharded"
-    printf '%-12s %10s %9s %12s\n' "config" "median" "vs serial" "vs baseline"
-    crossover=""
-    for cfg in serial sharded_1 sharded_2 sharded_4 sharded_8; do
-        case "$cfg" in
-            serial) ns=$eng_serial_ns ;;
-            sharded_1) ns=$eng_shard1_ns ;;
-            sharded_2) ns=$eng_shard2_ns ;;
-            sharded_4) ns=$eng_shard4_ns ;;
-            sharded_8) ns=$eng_shard8_ns ;;
-        esac
-        if [ -z "$ns" ]; then
-            printf '%-12s %10s %9s %12s\n' "$cfg" "missing" "-" "-"
-            continue
-        fi
-        ms=$(awk -v n="$ns" 'BEGIN { printf "%.1fms", n / 1e6 }')
-        if [ "$cfg" = serial ]; then
-            sp="1.00x"
-        else
-            sp=$(awk -v s="$eng_serial_ns" -v p="$ns" 'BEGIN { printf "%.2fx", s / p }')
-            if [ -z "$crossover" ] &&
-                [ "$(awk -v s="$eng_serial_ns" -v p="$ns" 'BEGIN { print (s > p) ? 1 : 0 }')" = 1 ]; then
-                crossover=$cfg
-                sp="$sp*"
-            fi
-        fi
-        base=$(baseline_ns "engine_shard_${cfg/_/}_ns")
-        if [ -n "$base" ] && [ "$base" != 0 ]; then
-            dv=$(awk -v n="$ns" -v b="$base" 'BEGIN { printf "%+.1f%%", (n - b) * 100 / b }')
-        else
-            dv="-"
-        fi
-        printf '%-12s %10s %9s %12s\n' "$cfg" "$ms" "$sp" "$dv"
-    done
-    if [ -n "$crossover" ]; then
-        echo "crossover: $crossover is the first shard count to beat serial (*)"
-    else
-        echo "crossover: none — no shard count beat serial on this host ($(nproc 2>/dev/null || echo 1) cores)"
-    fi
-}
-delta_table | tee results/TIMING_delta.txt
+e3_base=$(sed -n 's/.*"e3_one_second_ns": \([0-9.]*\).*/\1/p' "$BASELINES/TIMING_baseline.json")
+if [ -n "$e3_ns" ] && [ -n "$e3_base" ] && [ "$e3_base" != 0 ]; then
+    awk -v n="$e3_ns" -v b="$e3_base" -v c="$(nproc 2>/dev/null || echo 1)" 'BEGIN {
+        printf "==> E3 one simulated second: %.1fms (baseline %.1fms, %+.1f%%, %s cores)\n",
+            n / 1e6, b / 1e6, (n - b) * 100 / b, c }'
+fi
 
 if [ "$UPDATE" -eq 1 ]; then
     # shellcheck disable=SC2086
@@ -201,22 +129,6 @@ if [ "$UPDATE" -eq 1 ]; then
 fi
 
 fail=0
-
-# --- gate 4: the sharded engine reproduces every document byte-for-byte -----
-for exp in $ALL_EXPS $SCENARIOS; do
-    if ! cmp -s "$serial_tmp/BENCH_$exp.json" "results/BENCH_$exp.json"; then
-        echo "FAIL: BENCH_$exp.json differs between --engine serial and sharded" >&2
-        echo "      (the parallel engine broke byte-identical replay)" >&2
-        fail=1
-    fi
-done
-if [ "$fail" -eq 0 ]; then
-    echo "==> sharded engine reproduced all $(echo "$ALL_EXPS $SCENARIOS" | wc -w) documents byte-for-byte"
-fi
-# Leave the serial output in results/ (identical when the gate holds, and the
-# unambiguous source of truth when it does not).
-# shellcheck disable=SC2086
-cp "$serial_tmp"/BENCH_*.json results/
 
 # --- gate 1: byte-identical sweep documents ---------------------------------
 for exp in $ALL_EXPS $SCENARIOS; do
@@ -264,40 +176,6 @@ else
         fail=1
     else
         echo "==> wheel beats heap ${ratio}x on fan-out (>= ${MIN_SPEEDUP}x)"
-    fi
-fi
-
-# --- gate 5: sharded engine speedup (or overhead bound on small hosts) ------
-if [ -z "$eng_serial_ns" ] || [ -z "$eng_shard4_ns" ]; then
-    echo "FAIL: missing criterion estimates for the engine_shard benches" >&2
-    fail=1
-else
-    cores=$(nproc 2>/dev/null || echo 1)
-    eratio=$(awk -v s="$eng_serial_ns" -v p="$eng_shard4_ns" 'BEGIN { printf "%.2f", s / p }')
-    if [ "$cores" -ge 4 ]; then
-        ok=$(awk -v r="$eratio" -v m="$SHARD_SPEEDUP" 'BEGIN { print (r >= m) ? 1 : 0 }')
-        if [ "$ok" -ne 1 ]; then
-            echo "FAIL: sharded_4/serial E3 speedup ${eratio}x < required" \
-                "${SHARD_SPEEDUP}x on a ${cores}-core host" >&2
-            fail=1
-        else
-            echo "==> sharded engine ${eratio}x over serial on E3 (>= ${SHARD_SPEEDUP}x, ${cores} cores)"
-        fi
-    else
-        # Fewer worker cores than shards: the parallel engine cannot win, so
-        # hold the line on coordination overhead instead.
-        echo "==> SKIP: sharded speedup gate needs >= 4 cores, host has ${cores};" \
-            "checking the ${SHARD_OVERHEAD}x overhead bound instead"
-        bound=$(awk -v s="$eng_serial_ns" -v o="$SHARD_OVERHEAD" 'BEGIN { printf "%.0f", s * o }')
-        ok=$(awk -v p="$eng_shard4_ns" -v b="$bound" 'BEGIN { print (p <= b) ? 1 : 0 }')
-        if [ "$ok" -ne 1 ]; then
-            echo "FAIL: sharded_4 E3 run ${eng_shard4_ns}ns exceeds" \
-                "${SHARD_OVERHEAD}x serial (${eng_serial_ns}ns) on a ${cores}-core host" >&2
-            fail=1
-        else
-            echo "==> sharded overhead within ${SHARD_OVERHEAD}x serial" \
-                "(${cores}-core host; speedup ratio ${eratio}x)"
-        fi
     fi
 fi
 

@@ -2,9 +2,9 @@
 //! scenario specs under `scenarios/`.
 //!
 //! Every committed spec is expanded at a pinned seed and its event-trace
-//! fingerprint compared against `tests/scenarios/<name>.fp` — on the
-//! serial *and* the sharded engine, so a byte of drift in the expander,
-//! the DSL, or either engine fails loudly. The lab scenario's mobility
+//! fingerprint compared against `tests/scenarios/<name>.fp`, so a byte of
+//! drift in the expander, the DSL, or the engine fails loudly. The lab
+//! scenario's mobility
 //! script is additionally checked for exact membership accounting (each
 //! mover holds exactly one seat, the room census balances, no move is
 //! lost), and the composed-stress scenario must pass every simcheck
@@ -21,7 +21,6 @@ use std::path::PathBuf;
 use metaclass_avatar::AvatarId;
 use metaclass_core::ScenarioSpec;
 use metaclass_edge::CloudServerNode;
-use metaclass_netsim::EngineConfig;
 use metaclass_simcheck::{run_plan, standard_oracles, Scenario};
 
 /// The seed every golden transcript is pinned to.
@@ -49,8 +48,8 @@ fn canonical_specs() -> Vec<ScenarioSpec> {
 }
 
 /// `"<trace-fingerprint-hex> <events-processed>"` for one expansion.
-fn transcript(spec: &ScenarioSpec, engine: EngineConfig) -> String {
-    let mut session = spec.build_session(GOLDEN_SEED, engine);
+fn transcript(spec: &ScenarioSpec) -> String {
+    let mut session = spec.build_session(GOLDEN_SEED);
     session.sim_mut().enable_trace(TRACE_CAP);
     session.run_for(spec.duration());
     let trace = session.sim().trace().expect("trace enabled");
@@ -65,13 +64,13 @@ fn regenerate_fingerprints() {
     let dir = fp_dir();
     std::fs::create_dir_all(&dir).expect("create fingerprint dir");
     for spec in canonical_specs() {
-        let line = transcript(&spec, EngineConfig::serial());
+        let line = transcript(&spec);
         std::fs::write(dir.join(format!("{}.fp", spec.name)), line + "\n").expect("write fp");
     }
 }
 
 #[test]
-fn canonical_specs_replay_their_committed_fingerprints_on_both_engines() {
+fn canonical_specs_replay_their_committed_fingerprints() {
     for spec in canonical_specs() {
         let path = fp_dir().join(format!("{}.fp", spec.name));
         let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -81,12 +80,9 @@ fn canonical_specs_replay_their_committed_fingerprints_on_both_engines() {
                 path.display()
             )
         });
-        let serial = transcript(&spec, EngineConfig::serial());
-        let sharded = transcript(&spec, EngineConfig::sharded(4));
-        assert_eq!(serial, sharded, "{}: serial and sharded transcripts diverged", spec.name);
         assert_eq!(
             committed.trim(),
-            serial,
+            transcript(&spec),
             "{}: transcript drifted from tests/scenarios/{}.fp; if intentional, regenerate",
             spec.name,
             spec.name
@@ -97,8 +93,8 @@ fn canonical_specs_replay_their_committed_fingerprints_on_both_engines() {
 #[test]
 fn golden_transcripts_are_stable_across_reruns() {
     let spec = ScenarioSpec::load(&spec_dir().join("lecture.toml")).expect("lecture spec");
-    let a = transcript(&spec, EngineConfig::serial());
-    let b = transcript(&spec, EngineConfig::serial());
+    let a = transcript(&spec);
+    let b = transcript(&spec);
     assert_eq!(a, b, "rerunning the same expansion must reproduce the transcript");
 }
 
@@ -109,7 +105,7 @@ fn golden_transcripts_are_stable_across_reruns() {
 fn lab_mobility_is_accounted_exactly() {
     let spec = ScenarioSpec::load(&spec_dir().join("lab.toml")).expect("lab spec");
     let moves = spec.mobility.as_ref().expect("lab scripts mobility");
-    let mut session = spec.build_session(GOLDEN_SEED, EngineConfig::serial());
+    let mut session = spec.build_session(GOLDEN_SEED);
     session.run_for(spec.duration());
 
     let metrics = session.sim().metrics();
@@ -137,29 +133,22 @@ fn lab_mobility_is_accounted_exactly() {
 /// The composed-stress scenario (flash crowd + scripted loss burst and
 /// link flap + mobility on mixed platforms) passes every simcheck
 /// invariant oracle — packet conservation, partition isolation, staleness
-/// bounds, resync convergence — on both engines, with its scripted faults
-/// lowered to fixed windows.
+/// bounds, resync convergence — with its scripted faults lowered to fixed
+/// windows.
 #[test]
-fn stress_spec_passes_every_simcheck_oracle_on_both_engines() {
+fn stress_spec_passes_every_simcheck_oracle() {
     let spec = ScenarioSpec::load(&spec_dir().join("stress.toml")).expect("stress spec");
     assert!(
         spec.stress.as_ref().is_some_and(|s| s.flash_crowd.is_some())
             && spec.stress.as_ref().is_some_and(|s| s.faults.is_some()),
         "the stress spec must compose a flash crowd with scripted faults"
     );
-    for engine in [EngineConfig::serial(), EngineConfig::sharded(4)] {
-        let mut scn = Scenario::quick(GOLDEN_SEED);
-        scn.engine = engine;
-        scn.spec = Some(spec.clone());
-        let (_, topo) = scn.build();
-        let windows = scn.fixed_windows(&topo);
-        assert_eq!(windows.len(), 2, "both scripted faults lower to fixed windows");
-        let out = run_plan(&scn, &windows, standard_oracles(&scn));
-        assert!(
-            out.violation.is_none(),
-            "stress scenario violated an oracle on {engine:?}: {:?}",
-            out.violation
-        );
-        assert!(out.events > 1000, "the stressed session actually ran");
-    }
+    let mut scn = Scenario::quick(GOLDEN_SEED);
+    scn.spec = Some(spec);
+    let (_, topo) = scn.build();
+    let windows = scn.fixed_windows(&topo);
+    assert_eq!(windows.len(), 2, "both scripted faults lower to fixed windows");
+    let out = run_plan(&scn, &windows, standard_oracles(&scn));
+    assert!(out.violation.is_none(), "stress scenario violated an oracle: {:?}", out.violation);
+    assert!(out.events > 1000, "the stressed session actually ran");
 }
