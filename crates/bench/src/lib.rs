@@ -310,17 +310,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Writes a JSON record for an experiment under `results/` (best effort; the
-/// experiment's stdout table is the primary artifact).
-pub fn emit_json(experiment: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{experiment}.json"));
-    let _ = std::fs::write(path, serde_json::to_string_pretty(value).unwrap_or_default());
-}
-
 /// Formats a nanosecond quantity as milliseconds.
 pub fn ms(nanos: u64) -> String {
     format!("{:.1}", nanos as f64 / 1e6)

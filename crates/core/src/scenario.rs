@@ -28,9 +28,9 @@ use serde::{Deserialize, Serialize, Value};
 use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
-const FAULT_LOSS: f64 = 0.5;
+pub const FAULT_LOSS: f64 = 0.5;
 /// Extra one-way latency applied by a [`FaultKind::LatencySpike`] window.
-const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
+pub const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 // --------------------------------------------------------------- the schema
 

@@ -309,27 +309,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Adds a cohort of remote learners attending through `platform`
-    /// hardware (pose rate, dead reckoning, playout buffering, and input
-    /// cadence per [`DevicePlatform`]), joining at class start.
-    pub fn remote_cohort_platform(
-        mut self,
-        region: Region,
-        learners: u32,
-        access: LinkClass,
-        platform: DevicePlatform,
-    ) -> Self {
-        self.cohorts.push(CohortSpec {
-            region,
-            learners,
-            access,
-            joins_at: SimDuration::ZERO,
-            join_stagger: SimDuration::ZERO,
-            platform,
-        });
-        self
-    }
-
     /// Schedules an inter-room move: remote learner `learner` (global index
     /// across every cohort, in declaration order) announces a move to
     /// virtual room `room` at session time `at`. Moves queue behind

@@ -87,7 +87,6 @@ pub struct LinkConfig {
     loss: LossModel,
     bandwidth_bps: Option<u64>,
     queue_capacity_bytes: Option<u64>,
-    fifo: bool,
 }
 
 impl LinkConfig {
@@ -99,7 +98,6 @@ impl LinkConfig {
             loss: LossModel::None,
             bandwidth_bps: None,
             queue_capacity_bytes: None,
-            fifo: true,
         }
     }
 
@@ -133,12 +131,6 @@ impl LinkConfig {
         self
     }
 
-    /// Allows packet reordering from jitter (default links deliver FIFO).
-    pub fn with_reordering_allowed(mut self) -> Self {
-        self.fifo = false;
-        self
-    }
-
     /// Propagation delay.
     pub fn delay(&self) -> SimDuration {
         self.delay
@@ -163,11 +155,6 @@ impl LinkConfig {
     pub fn queue_capacity_bytes(&self) -> Option<u64> {
         self.queue_capacity_bytes
     }
-
-    /// Whether deliveries preserve send order.
-    pub fn is_fifo(&self) -> bool {
-        self.fifo
-    }
 }
 
 /// Why a packet offered to a link was not delivered.
@@ -181,6 +168,18 @@ pub enum DropReason {
     LinkDown,
     /// The destination (or forwarding) node was crashed.
     NodeDown,
+}
+
+impl DropReason {
+    /// Name of the `net.dropped.*` counter the engine bumps for this reason.
+    pub(crate) fn metric(self) -> &'static str {
+        match self {
+            DropReason::QueueFull => "net.dropped.queue",
+            DropReason::Loss => "net.dropped.loss",
+            DropReason::LinkDown => "net.dropped.down",
+            DropReason::NodeDown => "net.dropped.node_down",
+        }
+    }
 }
 
 impl std::fmt::Display for DropReason {
@@ -274,15 +273,6 @@ impl Link {
     /// Cumulative statistics.
     pub fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// Administratively brings the link up or down (failure injection).
-    ///
-    /// Prefer [`Link::set_up_at`], which also maintains flap and time-down
-    /// accounting; this variant treats the change as happening at an unknown
-    /// time and only tracks the transition count.
-    pub fn set_up(&mut self, up: bool) {
-        self.set_up_at(SimTime::ZERO, up);
     }
 
     /// Administratively brings the link up or down at time `now`, updating
@@ -421,7 +411,7 @@ impl Link {
             SimDuration::from_nanos(rng.truncated_normal(0.0, std, 0.0, 4.0 * std) as u64)
         };
         let mut arrival = self.busy_until + self.cfg.delay + self.extra_delay + jitter;
-        if self.cfg.fifo && arrival <= self.last_arrival {
+        if arrival <= self.last_arrival {
             arrival = self.last_arrival + SimDuration::from_nanos(1);
         }
         self.last_arrival = arrival;
@@ -570,10 +560,10 @@ mod tests {
     #[test]
     fn down_link_drops_everything() {
         let mut link = Link::new(LinkConfig::new(SimDuration::from_millis(1)));
-        link.set_up(false);
+        link.set_up_at(SimTime::ZERO, false);
         let mut r = rng();
         assert_eq!(link.transmit(SimTime::ZERO, 10, &mut r), Transmit::Drop(DropReason::LinkDown));
-        link.set_up(true);
+        link.set_up_at(SimTime::ZERO, true);
         assert!(matches!(link.transmit(SimTime::ZERO, 10, &mut r), Transmit::Deliver { .. }));
         assert_eq!(link.stats().dropped_down, 1);
     }

@@ -2,8 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::fault::FaultAction;
 use crate::link::DropReason;
 use crate::node::NodeId;
+use crate::observe::SimEvent;
 use crate::time::SimTime;
 
 /// What happened at a traced instant.
@@ -42,6 +44,45 @@ pub struct TraceEvent {
     pub dst: NodeId,
     /// Message wire size in bytes (zero for timers).
     pub size_bytes: u32,
+}
+
+impl TraceEvent {
+    /// The record an engine event at `at` leaves in the trace, or `None`
+    /// for events the trace does not keep (injections). Fault records name
+    /// the affected link's endpoints or node, and node 0 for partitions
+    /// and heals.
+    pub(crate) fn of(at: SimTime, event: &SimEvent<'_>) -> Option<TraceEvent> {
+        let (kind, src, dst, size_bytes) = match *event {
+            SimEvent::Sent { src, dst, size_bytes } => (TraceKind::Sent, src, dst, size_bytes),
+            SimEvent::Delivered { src, dst, size_bytes, .. } => {
+                (TraceKind::Delivered, src, dst, size_bytes)
+            }
+            SimEvent::Dropped { src, dst, size_bytes, reason } => {
+                (TraceKind::Dropped(reason), src, dst, size_bytes)
+            }
+            SimEvent::NoRoute { src, dst, size_bytes } => {
+                (TraceKind::NoRoute, src, dst, size_bytes)
+            }
+            SimEvent::TimerFired { node, tag } => (TraceKind::TimerFired { tag }, node, node, 0),
+            SimEvent::Fault { action } => {
+                let (src, dst) = match *action {
+                    FaultAction::LinkDown { a, b }
+                    | FaultAction::LinkUp { a, b }
+                    | FaultAction::LossBurstStart { a, b, .. }
+                    | FaultAction::LossBurstEnd { a, b }
+                    | FaultAction::LatencySpikeStart { a, b, .. }
+                    | FaultAction::LatencySpikeEnd { a, b } => (a, b),
+                    FaultAction::CrashNode { node } | FaultAction::RestartNode { node } => {
+                        (node, node)
+                    }
+                    FaultAction::Partition { .. } | FaultAction::Heal => (NodeId(0), NodeId(0)),
+                };
+                (TraceKind::Fault { code: action.code() }, src, dst, 0)
+            }
+            SimEvent::Injected { .. } => return None,
+        };
+        Some(TraceEvent { at, kind, src, dst, size_bytes })
+    }
 }
 
 /// A bounded in-memory event trace.

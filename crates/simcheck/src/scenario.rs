@@ -9,6 +9,7 @@
 use metaclass_avatar::AvatarId;
 use metaclass_core::{
     Activity, ClassroomSession, FaultKind, ScenarioSpec, SessionBuilder, SessionConfig,
+    FAULT_EXTRA_LATENCY, FAULT_LOSS,
 };
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
 use metaclass_netsim::{
@@ -16,14 +17,6 @@ use metaclass_netsim::{
 };
 
 use crate::plan::{FaultWindow, PlanSpace};
-
-/// Loss probability a spec's [`FaultKind::LossBurst`] lowers to (mirrors the
-/// core scenario expander, so replaying a spec under simcheck disturbs the
-/// session exactly the way `bench --scenario` does).
-const SPEC_FAULT_LOSS: f64 = 0.5;
-/// Extra one-way latency a spec's [`FaultKind::LatencySpike`] lowers to
-/// (mirrors the core scenario expander).
-const SPEC_FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 /// Parameters of one checked session run.
 #[derive(Debug, Clone)]
@@ -226,14 +219,14 @@ impl Scenario {
                         b: topo.cloud,
                         from,
                         until,
-                        loss: LossModel::Iid { p: SPEC_FAULT_LOSS },
+                        loss: LossModel::Iid { p: FAULT_LOSS },
                     },
                     FaultKind::LatencySpike => FaultWindow::LatencySpike {
                         a: edge,
                         b: topo.cloud,
                         from,
                         until,
-                        extra: SPEC_FAULT_EXTRA_LATENCY,
+                        extra: FAULT_EXTRA_LATENCY,
                     },
                     FaultKind::Partition => {
                         let isolated = topo.campus_nodes[k].clone();
@@ -427,6 +420,8 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaclass_core::FaultSpec;
+    use metaclass_netsim::FaultAction;
 
     #[test]
     fn topology_covers_every_node_and_numbers_avatars_by_campus() {
@@ -540,6 +535,50 @@ for_ms = 300
             panic!("expected a partition window");
         };
         assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), n, "fixed partition covers all");
+    }
+
+    #[test]
+    fn spec_fault_plan_matches_the_lowered_fixed_windows() {
+        // Core lowers spec faults from node ids it computes from the
+        // builder's layout; simcheck lowers them from the built topology.
+        let kinds = [
+            FaultKind::LinkFlap,
+            FaultKind::LossBurst,
+            FaultKind::LatencySpike,
+            FaultKind::Partition,
+            FaultKind::CrashEdge,
+        ];
+        let mut spec = ScenarioSpec::from_toml_str(THREE_CAMPUS).unwrap();
+        spec.stress.as_mut().unwrap().faults = Some(
+            kinds
+                .iter()
+                .zip(0u64..)
+                .map(|(&kind, i)| FaultSpec { kind, campus: 1, at_ms: 500 + 200 * i, for_ms: 150 })
+                .collect(),
+        );
+        let core_events = spec.fault_plan().expect("spec has faults").into_sorted_events();
+        let mut scn = Scenario::quick(5);
+        scn.spec = Some(spec);
+        let (_, topo) = scn.build();
+        let lowered = crate::plan::lower(&scn.fixed_windows(&topo)).into_sorted_events();
+        assert_eq!(core_events.len(), 2 * kinds.len(), "every window opens and closes");
+        assert_eq!(core_events.len(), lowered.len());
+        assert_eq!(core_events[0].1, FaultAction::LinkDown { a: topo.edges[1], b: topo.cloud });
+        for ((at, core), (lowered_at, simcheck)) in core_events.iter().zip(&lowered) {
+            assert_eq!(at, lowered_at);
+            assert_eq!(core.code(), simcheck.code(), "action kind at {at:?}");
+            match (core, simcheck) {
+                (
+                    FaultAction::Partition { groups: ours },
+                    FaultAction::Partition { groups: theirs },
+                ) => {
+                    assert_eq!(ours[0], topo.campus_nodes[1], "campus 1 is isolated");
+                    assert_eq!(ours[0], theirs[0]);
+                }
+                // Edge/cloud ids, crashed node, loss and extra latency.
+                _ => assert_eq!(core, simcheck),
+            }
+        }
     }
 
     #[test]
