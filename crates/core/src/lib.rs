@@ -72,6 +72,6 @@ pub use scenario::{
     FAULT_LOSS,
 };
 pub use session::{
-    protocol_codec, Activity, CampusSpec, ClassroomSession, CohortSpec, Participant, PoolInfo,
-    PoolSpec, Role, SessionBuilder, SessionConfig,
+    protocol_codec, Activity, CampusNodes, CampusSpec, ClassroomSession, CohortSpec, Participant,
+    PoolInfo, PoolSpec, Role, SessionBuilder, SessionConfig,
 };

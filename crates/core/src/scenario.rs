@@ -25,7 +25,7 @@ use metaclass_netsim::{
 };
 use serde::{Deserialize, Serialize, Value};
 
-use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder};
+use crate::session::{Activity, CampusNodes, ClassroomSession, CohortSpec, SessionBuilder};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
 pub const FAULT_LOSS: f64 = 0.5;
@@ -322,22 +322,16 @@ impl ScenarioSpec {
         b
     }
 
-    /// The fault plan the spec's stress section lowers to, if any. Node ids
-    /// mirror the [`SessionBuilder`] layout (cloud first, then per-campus
-    /// edge/array/headsets).
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
+    /// The fault plan the spec's stress section lowers to, if any, over the
+    /// node ids of `session` (built from this spec).
+    pub fn fault_plan(&self, session: &ClassroomSession) -> Option<FaultPlan> {
         let faults = self.stress.as_ref()?.faults.as_ref()?;
         if faults.is_empty() {
             return None;
         }
-        let cloud = NodeId::from_index(0);
-        let mut campus_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut next = 1usize;
-        for c in &self.campuses {
-            let count = 2 + (c.students + u32::from(c.presenter)) as usize;
-            campus_nodes.push((0..count).map(|i| NodeId::from_index(next + i)).collect());
-            next += count;
-        }
+        let cloud = session.cloud();
+        let campus_nodes: Vec<Vec<NodeId>> =
+            session.campus_nodes().iter().map(CampusNodes::all).collect();
         let mut plan = FaultPlan::new();
         for f in faults {
             let k = f.campus as usize;
@@ -375,7 +369,7 @@ impl ScenarioSpec {
     /// the stress fault plan, if any.
     pub fn build_session(&self, seed: u64) -> ClassroomSession {
         let mut session = self.session_builder(seed).build();
-        if let Some(plan) = self.fault_plan() {
+        if let Some(plan) = self.fault_plan(&session) {
             session.sim_mut().apply_fault_plan(plan);
         }
         session

@@ -400,11 +400,6 @@ impl SessionBuilder {
         // ---- Precompute node indices (nodes are added in this order). ----
         let cloud_id = NodeId::from_index(0);
         let mut next = 1usize;
-        struct CampusIds {
-            edge: NodeId,
-            array: NodeId,
-            headsets: Vec<NodeId>,
-        }
         let mut campus_ids = Vec::new();
         for spec in &self.campuses {
             let participants = spec.students + u32::from(spec.has_presenter);
@@ -412,7 +407,7 @@ impl SessionBuilder {
             let array = NodeId::from_index(next + 1);
             let headsets =
                 (0..participants).map(|i| NodeId::from_index(next + 2 + i as usize)).collect();
-            campus_ids.push(CampusIds { edge, array, headsets });
+            campus_ids.push(CampusNodes { edge, array, headsets });
             next += 2 + participants as usize;
         }
         let mut client_ids = Vec::new();
@@ -694,10 +689,30 @@ impl SessionBuilder {
             cfg,
             cloud: cloud_id,
             edges: all_edges,
+            campus_nodes: campus_ids,
             campuses: self.campuses,
             participants,
             pools: pool_infos,
         }
+    }
+}
+
+/// Node ids of one physical campus. The builder adds them contiguously in
+/// this order: edge server, room array, then one headset per participant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampusNodes {
+    /// The campus edge server.
+    pub edge: NodeId,
+    /// The room's sensor array.
+    pub array: NodeId,
+    /// One headset per participant, in roster order.
+    pub headsets: Vec<NodeId>,
+}
+
+impl CampusNodes {
+    /// Every node of the campus: edge, array, then the headsets.
+    pub fn all(&self) -> Vec<NodeId> {
+        [self.edge, self.array].into_iter().chain(self.headsets.iter().copied()).collect()
     }
 }
 
@@ -707,6 +722,7 @@ pub struct ClassroomSession {
     cfg: SessionConfig,
     cloud: NodeId,
     edges: Vec<NodeId>,
+    campus_nodes: Vec<CampusNodes>,
     campuses: Vec<CampusSpec>,
     participants: Vec<Participant>,
     pools: Vec<PoolInfo>,
@@ -748,6 +764,11 @@ impl ClassroomSession {
     /// Edge-server node ids, in campus order.
     pub fn edges(&self) -> &[NodeId] {
         &self.edges
+    }
+
+    /// Node ids of every campus, in campus order.
+    pub fn campus_nodes(&self) -> &[CampusNodes] {
+        &self.campus_nodes
     }
 
     /// The session roster.

@@ -10,26 +10,36 @@
 use std::collections::BTreeMap;
 
 use metaclass_avatar::{retarget, AnchorFrame, AvatarCodec, AvatarId, AvatarState};
-use metaclass_netsim::SimDuration;
 use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sync::{
-    BoundedQueue, DeadReckoningSender, InteractionEvent, InterestConfig, InterestManager,
-    OverflowPolicy, PoseFrame, ReliableReceiver, ReliableSender, SnapshotReceiver, SnapshotSender,
-    SubscriberId, Viewpoint,
+    DeadReckoningSender, InteractionEvent, InterestConfig, InterestManager, PoseFrame,
+    SnapshotReceiver, SubscriberId, Viewpoint,
 };
 
-/// Retransmission timeout for relayed interaction streams.
-const INTERACTION_RTO: SimDuration = SimDuration::from_millis(150);
-
 use crate::edge_server::ServerConfig;
-use crate::health::{PeerEvent, PeerHealth, RemoteAvatarPresentation};
+use crate::health::{PeerHealth, RemoteAvatarPresentation};
 use crate::messages::ClassMsg;
 use crate::overload::{AdmissionController, AdmissionOutcome, LoadShedder, ShedLevel};
+use crate::peer_sync::{PeerSync, SyncMetrics};
 use crate::pool::pool_avatar;
 use crate::seat::{ClassroomLayout, SeatAllocator};
 
 const TAG_FANOUT: u64 = 20;
 const TAG_HEARTBEAT: u64 = 21;
+
+/// The cloud's names for the shared protocol metrics.
+const METRICS: SyncMetrics = SyncMetrics {
+    returns: "cloud.edge_returns",
+    degraded: "cloud.edge_degraded",
+    down: "cloud.edge_down",
+    delivered: "cloud.interactions_delivered",
+    given_up: "cloud.interactions_given_up",
+    decode_errors: "cloud.decode_errors",
+    keyframe_requests: None,
+    ticks_shed: "overload.fanout_ticks_shed",
+    deferred: "overload.fanout_deferred",
+    interaction_latency: None,
+};
 
 /// Seats per virtual room: each room's seating block starts this many seats
 /// after the previous one, so reseating on a room change is observable in
@@ -57,12 +67,11 @@ pub struct CloudServerNode {
     fanout: FanoutConfig,
     /// Remote VR clients: avatar → client node.
     clients: BTreeMap<AvatarId, NodeId>,
-    /// Physical-classroom edge servers feeding this cloud.
-    edges: Vec<NodeId>,
+    /// The protocol shared with the physical classrooms' edge servers; its
+    /// backlog holds refreshes deferred per client.
+    sync: PeerSync<AvatarId>,
     /// Inbound streams (from clients and edges alike).
     receivers: BTreeMap<AvatarId, SnapshotReceiver>,
-    /// Outbound re-encoded client-avatar streams toward the edges.
-    senders: BTreeMap<(NodeId, AvatarId), SnapshotSender>,
     dead_reckoners: BTreeMap<AvatarId, DeadReckoningSender>,
     /// Latest VR-space state of every avatar in the virtual classroom.
     latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
@@ -73,26 +82,10 @@ pub struct CloudServerNode {
     /// Capture time of the newest state already sent per (client, entity) —
     /// unchanged states are not re-sent.
     sent_marks: BTreeMap<(AvatarId, AvatarId), SimTime>,
-    /// Inbound reliable interaction streams.
-    interaction_rx: BTreeMap<AvatarId, ReliableReceiver<InteractionEvent>>,
-    /// Outbound relays of client interactions toward the edges.
-    interaction_tx: BTreeMap<(NodeId, AvatarId), ReliableSender<InteractionEvent>>,
-    /// Every interaction observed in the VR classroom, in delivery order
-    /// (bounded, drop-new: under overload old evidence beats new noise).
-    interaction_log: BoundedQueue<(AvatarId, InteractionEvent)>,
     /// Which node fed each avatar's inbound stream (for health attribution).
     sources: BTreeMap<AvatarId, NodeId>,
-    /// Failure detector per edge server.
-    edge_health: BTreeMap<NodeId, PeerHealth>,
-    /// Fan-out tick counter (drives degraded-stride sending).
-    tick_count: u64,
     /// Join admission gate for remote clients.
     admission: AdmissionController,
-    /// Fidelity ladder driven by fan-out pressure.
-    shedder: LoadShedder,
-    /// Per-client refresh intents deferred past the egress budget
-    /// (drop-oldest: a newer refresh supersedes a stale one).
-    fanout_backlog: BTreeMap<AvatarId, BoundedQueue<AvatarId>>,
     /// Clients already hinted to re-join this tick (rate-limits the hint).
     rejoin_hinted: std::collections::BTreeSet<AvatarId>,
     /// Flyweight client pools served by this cloud: pool id → entry.
@@ -122,33 +115,21 @@ impl CloudServerNode {
         edges: Vec<NodeId>,
         capacity: u32,
     ) -> Self {
-        let edge_health =
-            edges.iter().map(|&e| (e, PeerHealth::new(cfg.heartbeat, SimTime::ZERO))).collect();
+        let budget = cfg.overload.egress_budget_per_tick.max(1);
         CloudServerNode {
             interest: InterestManager::new(fanout.interest),
+            sync: PeerSync::new(cfg, &METRICS, edges, budget),
             cfg,
             fanout,
             clients,
-            edges,
             receivers: BTreeMap::new(),
-            senders: BTreeMap::new(),
             dead_reckoners: BTreeMap::new(),
             latest: BTreeMap::new(),
             seats: SeatAllocator::new(ClassroomLayout::auditorium(capacity)),
             speaker: None,
             sent_marks: BTreeMap::new(),
-            interaction_rx: BTreeMap::new(),
-            interaction_tx: BTreeMap::new(),
-            interaction_log: BoundedQueue::new(
-                cfg.overload.interaction_log_capacity,
-                OverflowPolicy::DropNewest,
-            ),
             sources: BTreeMap::new(),
-            edge_health,
-            tick_count: 0,
             admission: AdmissionController::new(cfg.overload.admission, SimTime::ZERO),
-            shedder: LoadShedder::new(cfg.overload.shed),
-            fanout_backlog: BTreeMap::new(),
             rejoin_hinted: std::collections::BTreeSet::new(),
             pools: BTreeMap::new(),
             rooms: BTreeMap::new(),
@@ -202,25 +183,22 @@ impl CloudServerNode {
 
     /// The load-shedding ladder (for tests and invariant oracles).
     pub fn shedder(&self) -> &LoadShedder {
-        &self.shedder
+        self.sync.shedder()
     }
 
     /// Every bounded queue this server owns, as `(name, max depth ever,
     /// capacity)` — invariant oracles assert depth never exceeds capacity.
     pub fn overload_queues(&self) -> Vec<(String, usize, usize)> {
+        let log = self.sync.interaction_log();
         let mut out = vec![
-            (
-                "cloud.interaction_log".to_string(),
-                self.interaction_log.max_depth(),
-                self.interaction_log.capacity(),
-            ),
+            ("cloud.interaction_log".to_string(), log.max_depth(), log.capacity()),
             (
                 "cloud.admission_waiting".to_string(),
                 self.admission.waiting_max_depth(),
                 self.admission.waiting_capacity(),
             ),
         ];
-        for (client, backlog) in &self.fanout_backlog {
+        for (client, backlog) in self.sync.backlog() {
             out.push((
                 format!("cloud.fanout_backlog[{}]", client.0),
                 backlog.max_depth(),
@@ -232,59 +210,14 @@ impl CloudServerNode {
 
     /// The failure detector tracking `edge`, if it is one of ours.
     pub fn edge_health(&self, edge: NodeId) -> Option<&PeerHealth> {
-        self.edge_health.get(&edge)
+        self.sync.health(edge)
     }
 
     /// How `avatar` should currently be presented, given the health of the
     /// node its stream arrives from. Client-fed avatars are always `Live`
     /// (client loss is handled by the jitter buffers, not the detector).
     pub fn presentation_of(&self, avatar: AvatarId, now: SimTime) -> RemoteAvatarPresentation {
-        self.sources
-            .get(&avatar)
-            .and_then(|source| self.edge_health.get(source))
-            .map(|h| h.presentation(now))
-            .unwrap_or(RemoteAvatarPresentation::Live)
-    }
-
-    /// Full resynchronization of an edge that returned from an outage:
-    /// keyframes on every stream toward it, fresh reliable interaction
-    /// streams carrying the outstanding tail.
-    fn resync_edge(&mut self, ctx: &mut Context<'_, ClassMsg>, edge: NodeId) {
-        ctx.metrics().inc("cloud.edge_returns");
-        for ((p, _), sender) in self.senders.iter_mut() {
-            if *p == edge {
-                sender.request_keyframe();
-            }
-        }
-        let now = ctx.now();
-        let keys: Vec<(NodeId, AvatarId)> =
-            self.interaction_tx.keys().copied().filter(|(p, _)| *p == edge).collect();
-        for key in keys {
-            let outstanding =
-                self.interaction_tx.get_mut(&key).expect("just listed").take_outstanding();
-            let mut fresh = ReliableSender::new(INTERACTION_RTO);
-            for ev in outstanding {
-                let (seq, wire) = fresh.send(ev, now);
-                if let Some(event) = wire {
-                    let msg = ClassMsg::Interaction { avatar: key.1, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(edge, msg, size);
-                }
-            }
-            self.interaction_tx.insert(key, fresh);
-        }
-    }
-
-    /// Re-evaluates every edge's liveness against the clock.
-    fn poll_edges(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        let now = ctx.now();
-        for health in self.edge_health.values_mut() {
-            match health.poll(now) {
-                Some(PeerEvent::Degraded) => ctx.metrics().inc("cloud.edge_degraded"),
-                Some(PeerEvent::Down) => ctx.metrics().inc("cloud.edge_down"),
-                _ => {}
-            }
-        }
+        self.sync.presentation(self.sources.get(&avatar).copied(), now)
     }
 
     /// Declares `avatar` the active speaker (or clears with `None`).
@@ -297,60 +230,35 @@ impl CloudServerNode {
         self.latest.len()
     }
 
-    /// Latest VR-space state of an avatar, if known.
-    pub fn state_of(&self, avatar: AvatarId) -> Option<&AvatarState> {
-        self.latest.get(&avatar).map(|(s, _)| s)
-    }
-
     /// Every interaction event observed in the VR classroom (the retained
     /// bounded window, oldest first).
     pub fn interaction_log(&self) -> Vec<(AvatarId, InteractionEvent)> {
-        self.interaction_log.iter().cloned().collect()
+        self.sync.interaction_log().iter().cloned().collect()
     }
 
-    fn on_interaction(
+    /// Whether `avatar` is a rostered client the admission gate has not
+    /// (or no longer — e.g. after a crash-restart that wiped the admission
+    /// set) admitted.
+    fn unadmitted(&self, avatar: AvatarId) -> bool {
+        self.clients.contains_key(&avatar) && !self.admission.is_admitted(avatar.0 as u64)
+    }
+
+    /// Drops unadmitted traffic, counting it under `metric`, and sends
+    /// `hint` (a re-join prompt) to `to` at most once per fan-out tick per
+    /// `key`.
+    fn drop_unadmitted(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        avatar: AvatarId,
-        seq: u64,
-        event: InteractionEvent,
-        captured_at: SimTime,
+        metric: &str,
+        key: AvatarId,
+        to: NodeId,
+        hint: ClassMsg,
     ) {
-        let rx = self.interaction_rx.entry(avatar).or_default();
-        let ready = rx.on_packet(seq, event);
-        if let Some(ack) = rx.cumulative_ack() {
-            let msg = ClassMsg::InteractionAck { avatar, seq: ack };
-            let size = msg.wire_bytes();
-            ctx.send(from, msg, size);
-        }
-        // Client-originated events are relayed onward to the physical
-        // classrooms; edge-originated ones were already fanned out by their
-        // home edge.
-        let relay = self.clients.contains_key(&avatar);
-        for ev in ready {
-            ctx.metrics().inc("cloud.interactions_delivered");
-            if relay {
-                for peer in self.edges.clone() {
-                    if peer == from {
-                        continue;
-                    }
-                    let tx = self
-                        .interaction_tx
-                        .entry((peer, avatar))
-                        .or_insert_with(|| ReliableSender::new(INTERACTION_RTO));
-                    let (relay_seq, relay_ev) = tx.send(ev.clone(), ctx.now());
-                    if let Some(event) = relay_ev {
-                        let msg =
-                            ClassMsg::Interaction { avatar, seq: relay_seq, event, captured_at };
-                        let size = msg.wire_bytes();
-                        ctx.send(peer, msg, size);
-                    }
-                }
-            }
-            if self.interaction_log.push((avatar, ev)).is_some() {
-                ctx.metrics().inc("overload.interaction_log_dropped");
-            }
+        ctx.metrics().inc(metric);
+        if self.rejoin_hinted.insert(key) {
+            ctx.metrics().inc("overload.rejoin_hints");
+            let size = hint.wire_bytes();
+            ctx.send(to, hint, size);
         }
     }
 
@@ -408,54 +316,24 @@ impl CloudServerNode {
                 return;
             }
             dr.mark_sent(now, vr_state);
-            for peer in self.edges.clone() {
+            for peer in self.sync.peers().to_vec() {
                 if peer == from {
                     continue;
                 }
-                if self.edge_health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
-                {
+                if self.sync.skips(peer) {
                     ctx.metrics().inc("cloud.forwards_skipped_unhealthy_edge");
                     continue;
                 }
-                let sender = self.senders.entry((peer, avatar)).or_insert_with(|| {
-                    SnapshotSender::new(
-                        AvatarCodec::new(self.cfg.codec),
-                        self.cfg.keyframe_interval,
-                    )
-                });
-                let frame = sender.encode(&vr_state);
-                let msg = ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor: seat };
-                let size = msg.wire_bytes();
                 ctx.metrics().inc("cloud.forwards_to_edges");
-                ctx.send(peer, msg, size);
+                self.sync.send_update(ctx, peer, avatar, &vr_state, captured_at, seat);
             }
         }
     }
 
-    /// One budgeted, interest-managed fan-out pass; returns the number of
-    /// fresh updates *demanded* this tick (sent or deferred), the shedder's
-    /// pressure signal.
-    fn fan_out(&mut self, ctx: &mut Context<'_, ClassMsg>) -> usize {
-        let level = self.shedder.level();
-        if !level.sends_on_tick(self.tick_count) {
-            ctx.metrics().inc("overload.fanout_ticks_shed");
-            // A frozen spectator tick sends nothing, so deferred refreshes
-            // would otherwise sit in the backlog forever, pinning the
-            // pressure signal high and wedging the ladder at Spectator.
-            // Discarding them is safe: they are only service-order hints,
-            // and interest selection re-picks any still-stale pair once
-            // fan-out resumes.
-            if level == ShedLevel::Spectator {
-                let discarded: usize = self.fanout_backlog.values().map(|q| q.len()).sum();
-                if discarded > 0 {
-                    for q in self.fanout_backlog.values_mut() {
-                        q.clear();
-                    }
-                    ctx.metrics().add("overload.spectator_backlog_discarded", discarded as u64);
-                }
-            }
-            return 0;
-        }
+    /// One budgeted, interest-managed fan-out pass at shed `level`; returns
+    /// the number of fresh updates *demanded* this tick (sent or deferred),
+    /// the shedder's pressure signal.
+    fn fan_out(&mut self, ctx: &mut Context<'_, ClassMsg>, level: ShedLevel) -> usize {
         let mut clients: Vec<(AvatarId, NodeId)> = self
             .clients
             .iter()
@@ -469,7 +347,7 @@ impl CloudServerNode {
         // Fairness under budget exhaustion: rotate the service order so the
         // budget does not starve the same tail of clients every tick.
         if !clients.is_empty() {
-            let offset = (self.tick_count as usize) % clients.len();
+            let offset = (self.sync.tick_count() as usize) % clients.len();
             clients.rotate_left(offset);
         }
         let budget_total = self.cfg.overload.egress_budget_per_tick.max(1);
@@ -485,10 +363,8 @@ impl CloudServerNode {
             // Refreshes deferred by an earlier budget crunch go first, then
             // this tick's interest selection.
             let mut wanted: Vec<AvatarId> = Vec::new();
-            if let Some(backlog) = self.fanout_backlog.get_mut(&client_avatar) {
-                while let Some(avatar) = backlog.pop() {
-                    wanted.push(avatar);
-                }
+            while let Some(avatar) = self.sync.pop_deferred(&client_avatar) {
+                wanted.push(avatar);
             }
             let sub = SubscriberId(client_avatar.0);
             let budget = self.fanout.budget_per_client + 1; // self may be selected
@@ -513,17 +389,7 @@ impl CloudServerNode {
                     demand += 1;
                     if sent_this_tick >= budget_total {
                         // Egress budget exhausted: defer the refresh.
-                        let backlog =
-                            self.fanout_backlog.entry(client_avatar).or_insert_with(|| {
-                                BoundedQueue::new(
-                                    self.cfg.overload.backlog_capacity,
-                                    OverflowPolicy::DropOldest,
-                                )
-                            });
-                        if backlog.push(avatar).is_some() {
-                            ctx.metrics().inc("overload.backlog_dropped");
-                        }
-                        ctx.metrics().inc("overload.fanout_deferred");
+                        self.sync.defer(ctx, client_avatar, avatar);
                         continue;
                     }
                     *mark = *captured_at;
@@ -602,43 +468,22 @@ impl CloudServerNode {
         }
         demand
     }
-
-    /// Smoothed-pressure input for the ladder: whichever is worse of this
-    /// tick's demand-to-budget ratio and the backlog fill fraction.
-    fn utilization(&self, demand: usize) -> f64 {
-        let budget = self.cfg.overload.egress_budget_per_tick.max(1);
-        let demand_ratio = demand as f64 / budget as f64;
-        let backlog_len: usize = self.fanout_backlog.values().map(|q| q.len()).sum();
-        let backlog_cap: usize = self.fanout_backlog.values().map(|q| q.capacity()).sum();
-        let backlog_ratio =
-            if backlog_cap == 0 { 0.0 } else { backlog_len as f64 / backlog_cap as f64 };
-        demand_ratio.max(backlog_ratio)
-    }
 }
 
 impl Node<ClassMsg> for CloudServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_, ClassMsg>) {
         ctx.set_timer(self.cfg.tick, TAG_FANOUT);
-        if !self.edges.is_empty() {
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
-        }
+        self.sync.start(ctx, TAG_HEARTBEAT);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ClassMsg>, timer: Timer) {
         if timer.tag == TAG_HEARTBEAT {
-            let now = ctx.now();
-            for edge in self.edges.clone() {
-                let msg = ClassMsg::Heartbeat { sent_at: now };
-                let size = msg.wire_bytes();
-                ctx.send(edge, msg, size);
-            }
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
+            self.sync.heartbeat(ctx, TAG_HEARTBEAT);
             return;
         }
         if timer.tag == TAG_FANOUT {
-            self.tick_count += 1;
+            let level = self.sync.begin_tick(ctx);
             self.rejoin_hinted.clear();
-            self.poll_edges(ctx);
             // Admit parked joiners as admission tokens refill.
             for key in self.admission.poll(ctx.now()) {
                 let avatar = AvatarId(key as u32);
@@ -649,38 +494,14 @@ impl Node<ClassMsg> for CloudServerNode {
                     ctx.send(node, msg, size);
                 }
             }
-            let demand = self.fan_out(ctx);
-            let now = ctx.now();
-            let utilization = self.utilization(demand);
-            ctx.metrics()
-                .histogram("overload.utilization_milli")
-                .record((utilization * 1000.0) as u64);
-            if let Some(t) = self.shedder.observe(now, utilization) {
-                ctx.metrics().inc("overload.shed_transitions");
-                ctx.metrics().add("overload.shed_level", t.to.rung() as u64);
-            }
-            for ((peer, avatar), tx) in self.interaction_tx.iter_mut() {
-                for (seq, event) in tx.due_retransmits(now) {
-                    let msg =
-                        ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(*peer, msg, size);
-                }
-                for (_seq, _event) in tx.drain_given_up() {
-                    ctx.metrics().inc("cloud.interactions_given_up");
-                }
-            }
+            let demand = level.map_or(0, |level| self.fan_out(ctx, level));
+            self.sync.end_tick(ctx, demand);
             ctx.set_timer(self.cfg.tick, TAG_FANOUT);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ClassMsg>, from: NodeId, msg: ClassMsg) {
-        // Any traffic from an edge server counts as liveness.
-        if let Some(health) = self.edge_health.get_mut(&from) {
-            if health.on_heard(ctx.now()) == Some(PeerEvent::Returned) {
-                self.resync_edge(ctx, from);
-            }
-        }
+        self.sync.on_heard(ctx, from);
         match msg {
             ClassMsg::JoinRequest { avatar, .. } => {
                 let now = ctx.now();
@@ -712,60 +533,30 @@ impl Node<ClassMsg> for CloudServerNode {
                 ctx.send(from, reply, size);
             }
             ClassMsg::ClientPose { avatar, frame, captured_at } => {
-                if self.clients.contains_key(&avatar)
-                    && !self.admission.is_admitted(avatar.0 as u64)
-                {
-                    // Not (or no longer — e.g. after a crash-restart that
-                    // wiped the admission set) admitted: drop the pose and
-                    // hint the client to re-join, once per fan-out tick.
-                    ctx.metrics().inc("overload.unadmitted_poses_dropped");
-                    if self.rejoin_hinted.insert(avatar) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::JoinRejected { avatar };
-                        let size = hint.wire_bytes();
-                        ctx.send(from, hint, size);
-                    }
+                if self.unadmitted(avatar) {
+                    let hint = ClassMsg::JoinRejected { avatar };
+                    let metric = "overload.unadmitted_poses_dropped";
+                    self.drop_unadmitted(ctx, metric, avatar, from, hint);
                     return;
                 }
-                self.handle_stream(ctx, from, avatar, frame, captured_at, None);
+                self.handle_stream(ctx, from, avatar, frame, captured_at, StreamSource::Client);
             }
             ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor } => {
-                self.handle_stream(ctx, from, avatar, frame, captured_at, Some(anchor));
-            }
-            ClassMsg::AvatarAck { avatar, seq } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.on_ack(seq);
-                }
-            }
-            ClassMsg::KeyframeRequest { avatar } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.request_keyframe();
-                }
-            }
-            ClassMsg::ClockProbe { nonce, client_send } => {
-                let reply = ClassMsg::ClockReply { nonce, client_send, server_time: ctx.now() };
-                let size = reply.wire_bytes();
-                ctx.send(from, reply, size);
+                let source = StreamSource::Edge(anchor);
+                self.handle_stream(ctx, from, avatar, frame, captured_at, source);
             }
             ClassMsg::Interaction { avatar, seq, event, captured_at } => {
-                if self.clients.contains_key(&avatar)
-                    && !self.admission.is_admitted(avatar.0 as u64)
-                {
-                    ctx.metrics().inc("overload.unadmitted_interactions_dropped");
-                    if self.rejoin_hinted.insert(avatar) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::JoinRejected { avatar };
-                        let size = hint.wire_bytes();
-                        ctx.send(from, hint, size);
-                    }
+                if self.unadmitted(avatar) {
+                    let hint = ClassMsg::JoinRejected { avatar };
+                    let metric = "overload.unadmitted_interactions_dropped";
+                    self.drop_unadmitted(ctx, metric, avatar, from, hint);
                     return;
                 }
-                self.on_interaction(ctx, from, avatar, seq, event, captured_at);
-            }
-            ClassMsg::InteractionAck { avatar, seq } => {
-                if let Some(tx) = self.interaction_tx.get_mut(&(from, avatar)) {
-                    tx.on_ack_at(seq, ctx.now());
-                }
+                // Client-originated events are relayed onward to the
+                // physical classrooms; edge-originated ones were already
+                // fanned out by their home edge.
+                let relay = self.clients.contains_key(&avatar);
+                self.sync.on_interaction(ctx, from, avatar, seq, event, captured_at, relay);
             }
             ClassMsg::PoolJoin { pool, count, .. } => {
                 let now = ctx.now();
@@ -798,15 +589,10 @@ impl Node<ClassMsg> for CloudServerNode {
                 let rep = pool_avatar(pool);
                 if active == 0 {
                     // The pool believes its members are admitted; we do not
-                    // (crash-restart wiped the counts). Hint a full re-join,
-                    // once per fan-out tick.
-                    ctx.metrics().inc("overload.unadmitted_pool_poses_dropped");
-                    if self.rejoin_hinted.insert(rep) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::PoolEvict { pool };
-                        let size = hint.wire_bytes();
-                        ctx.send(pool_node, hint, size);
-                    }
+                    // (crash-restart wiped the counts). Hint a full re-join.
+                    let hint = ClassMsg::PoolEvict { pool };
+                    let metric = "overload.unadmitted_pool_poses_dropped";
+                    self.drop_unadmitted(ctx, metric, rep, pool_node, hint);
                     return;
                 }
                 // The pose's member count is authoritative: the pool owns
@@ -817,7 +603,8 @@ impl Node<ClassMsg> for CloudServerNode {
                     ctx.metrics().inc("overload.pool_count_reconciled");
                     self.pools.get_mut(&pool).expect("entry exists").active = count;
                 }
-                self.handle_pool_stream(ctx, from, pool, count, frame, captured_at);
+                let source = StreamSource::Pool { members: count };
+                self.handle_stream(ctx, from, rep, frame, captured_at, source);
             }
             ClassMsg::PoolLeave { pool, count } => {
                 if let Some(entry) = self.pools.get_mut(&pool) {
@@ -850,9 +637,7 @@ impl Node<ClassMsg> for CloudServerNode {
                 }
                 ctx.metrics().inc("cloud.room_moves");
             }
-            // Liveness was already recorded above; nothing else to do.
-            ClassMsg::Heartbeat { .. } => {}
-            _ => {}
+            other => self.sync.on_message(ctx, from, other),
         }
     }
 
@@ -860,26 +645,17 @@ impl Node<ClassMsg> for CloudServerNode {
         // A crashed cloud loses all volatile session state; the deployment
         // configuration (clients, edges, capacity) survives.
         let capacity = self.seats.layout().capacity() as u32;
+        self.sync.reset();
         self.receivers.clear();
-        self.senders.clear();
         self.dead_reckoners.clear();
         self.latest.clear();
         self.seats = SeatAllocator::new(ClassroomLayout::auditorium(capacity));
         self.interest = InterestManager::new(self.fanout.interest);
         self.sent_marks.clear();
-        self.interaction_rx.clear();
-        self.interaction_tx.clear();
-        self.interaction_log.clear();
         self.sources.clear();
-        for health in self.edge_health.values_mut() {
-            health.reset();
-        }
-        self.tick_count = 0;
         // The admission set is volatile: restarted clouds re-admit returning
         // clients (whose un-admitted traffic triggers a re-join hint).
         self.admission.reset(SimTime::ZERO);
-        self.shedder.reset();
-        self.fanout_backlog.clear();
         self.rejoin_hinted.clear();
         // Pool membership counts are volatile too: the next PoolPose from a
         // pool we no longer recognize triggers a PoolEvict re-join hint.
@@ -893,52 +669,8 @@ impl Node<ClassMsg> for CloudServerNode {
 }
 
 impl CloudServerNode {
-    /// Ingests a pool's representative pose: decoded through the shared
-    /// receiver machinery, latency-accounted for all `count` members it
-    /// stands for, and placed in the auditorium without per-member fan-out
-    /// to the edges (physical classrooms render the crowd as one token).
-    fn handle_pool_stream(
-        &mut self,
-        ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        pool: u32,
-        count: u64,
-        frame: PoseFrame,
-        captured_at: SimTime,
-    ) {
-        let avatar = pool_avatar(pool);
-        let receiver = self
-            .receivers
-            .entry(avatar)
-            .or_insert_with(|| SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec)));
-        match receiver.decode(&frame) {
-            Err(_) => {
-                ctx.metrics().inc("cloud.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let ack = ClassMsg::AvatarAck { avatar, seq };
-                    let size = ack.wire_bytes();
-                    ctx.send(from, ack, size);
-                }
-                self.sources.insert(avatar, from);
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics()
-                    .histogram("cloud.inbound_latency_ns")
-                    .record_n(inbound.as_nanos(), count);
-                let anchor = AnchorFrame::seat(Default::default());
-                self.place_avatar(ctx, avatar, state, anchor, captured_at, false, from);
-            }
-        }
-    }
-
+    /// Decodes one inbound avatar frame from `from` (acking it, or asking
+    /// for a keyframe) and places the decoded state in the auditorium.
     fn handle_stream(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
@@ -946,38 +678,40 @@ impl CloudServerNode {
         avatar: AvatarId,
         frame: PoseFrame,
         captured_at: SimTime,
-        anchor: Option<AnchorFrame>,
+        source: StreamSource,
     ) {
         let receiver = self
             .receivers
             .entry(avatar)
             .or_insert_with(|| SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec)));
-        match receiver.decode(&frame) {
-            Err(_) => {
-                ctx.metrics().inc("cloud.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let ack = ClassMsg::AvatarAck { avatar, seq };
-                    let size = ack.wire_bytes();
-                    ctx.send(from, ack, size);
-                }
-                self.sources.insert(avatar, from);
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics().histogram("cloud.inbound_latency_ns").record(inbound.as_nanos());
-                // Clients stream in their own home frame (origin anchor);
-                // edges supply the avatar's classroom anchor.
-                let from_clients = anchor.is_none();
-                let src_anchor = anchor.unwrap_or_else(|| AnchorFrame::seat(Default::default()));
-                self.place_avatar(ctx, avatar, state, src_anchor, captured_at, from_clients, from);
-            }
-        }
+        let Some(state) = self.sync.receive(ctx, from, avatar, receiver, &frame) else {
+            return;
+        };
+        self.sources.insert(avatar, from);
+        let home = AnchorFrame::seat(Default::default());
+        let (anchor, members, forward) = match source {
+            StreamSource::Client => (home, 1, true),
+            StreamSource::Edge(anchor) => (anchor, 1, false),
+            StreamSource::Pool { members } => (home, members, false),
+        };
+        let inbound = ctx.now().duration_since(captured_at);
+        ctx.metrics().histogram("cloud.inbound_latency_ns").record_n(inbound.as_nanos(), members);
+        self.place_avatar(ctx, avatar, state, anchor, captured_at, forward, from);
     }
+}
+
+/// Where an inbound avatar stream comes from.
+enum StreamSource {
+    /// A remote client, streaming in its own home frame (origin anchor);
+    /// the cloud forwards it to the physical classrooms.
+    Client,
+    /// An edge server, supplying the avatar's classroom anchor.
+    Edge(AnchorFrame),
+    /// A pool's representative, standing for `members` pooled clients:
+    /// latency-accounted for each of them, and not forwarded to the edges
+    /// (physical classrooms render the crowd as one token).
+    Pool {
+        /// Pooled clients the pose stands for.
+        members: u64,
+    },
 }

@@ -16,20 +16,31 @@ use metaclass_avatar::{
 use metaclass_netsim::{Context, Node, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sensors::PoseFusion;
 use metaclass_sync::{
-    BoundedQueue, DeadReckoningConfig, DeadReckoningSender, InteractionEvent, OverflowPolicy,
-    ReliableReceiver, ReliableSender, SnapshotReceiver, SnapshotSender,
+    DeadReckoningConfig, DeadReckoningSender, InteractionEvent, SnapshotReceiver,
 };
 
-/// Retransmission timeout for relayed interaction streams.
-const INTERACTION_RTO: SimDuration = SimDuration::from_millis(150);
-
-use crate::health::{HeartbeatConfig, PeerEvent, PeerHealth, RemoteAvatarPresentation};
+use crate::health::{HeartbeatConfig, PeerHealth, RemoteAvatarPresentation};
 use crate::messages::ClassMsg;
-use crate::overload::{LoadShedder, OverloadConfig, ShedLevel};
+use crate::overload::{LoadShedder, OverloadConfig};
+use crate::peer_sync::{PeerSync, SyncMetrics};
 use crate::seat::{ClassroomLayout, SeatAllocator};
 
 const TAG_TICK: u64 = 10;
 const TAG_HEARTBEAT: u64 = 11;
+
+/// The edge's names for the shared protocol metrics.
+const METRICS: SyncMetrics = SyncMetrics {
+    returns: "edge.peer_returns",
+    degraded: "edge.peer_degraded",
+    down: "edge.peer_down",
+    delivered: "edge.interactions_delivered",
+    given_up: "edge.interactions_given_up",
+    decode_errors: "edge.decode_errors",
+    keyframe_requests: Some("edge.keyframe_requests"),
+    ticks_shed: "overload.replicate_ticks_shed",
+    deferred: "overload.egress_deferred",
+    interaction_latency: Some("interaction.latency_ns"),
+};
 
 /// Tuning of a classroom/cloud server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,37 +75,22 @@ impl Default for ServerConfig {
 /// The edge server of one physical MR classroom.
 pub struct EdgeServerNode {
     cfg: ServerConfig,
-    /// Peer servers receiving this classroom's avatars (other edge + cloud).
-    peers: Vec<NodeId>,
+    /// The protocol shared with the peer servers receiving this classroom's
+    /// avatars (other edges + cloud); its backlog holds refreshes deferred
+    /// per peer.
+    sync: PeerSync<NodeId>,
     /// Local participants and the headset node displaying to each.
     headsets: BTreeMap<AvatarId, NodeId>,
     /// Anchors of local participants in this classroom (their own seats).
     local_anchors: BTreeMap<AvatarId, AnchorFrame>,
     fusion: BTreeMap<AvatarId, PoseFusion>,
     dead_reckoners: BTreeMap<AvatarId, DeadReckoningSender>,
-    senders: BTreeMap<(NodeId, AvatarId), SnapshotSender>,
     receivers: BTreeMap<AvatarId, (NodeId, SnapshotReceiver)>,
     seats: SeatAllocator,
     /// Latest retargeted state of each remote avatar.
     remote_latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
-    /// Inbound reliable interaction streams, one per avatar.
-    interaction_rx: BTreeMap<AvatarId, ReliableReceiver<InteractionEvent>>,
-    /// Outbound relays of local avatars' interactions, per (peer, avatar).
-    interaction_tx: BTreeMap<(NodeId, AvatarId), ReliableSender<InteractionEvent>>,
-    /// Every interaction observed by this classroom, in arrival order
-    /// (bounded, drop-new: under overload old evidence beats new noise).
-    interaction_log: BoundedQueue<(AvatarId, InteractionEvent)>,
-    /// Failure detector per peer server.
-    peer_health: BTreeMap<NodeId, PeerHealth>,
-    /// Replication tick counter (drives degraded-stride sending).
-    tick_count: u64,
     /// Remote avatars currently pinned by a frozen source peer.
     frozen: BTreeMap<AvatarId, bool>,
-    /// Fidelity ladder driven by replication pressure.
-    shedder: LoadShedder,
-    /// Per-peer avatar refreshes deferred past the egress budget
-    /// (drop-oldest: a newer refresh supersedes a stale one).
-    egress_backlog: BTreeMap<NodeId, BoundedQueue<AvatarId>>,
 }
 
 impl EdgeServerNode {
@@ -115,47 +111,34 @@ impl EdgeServerNode {
             headsets.insert(avatar, headset);
             local_anchors.insert(avatar, anchor);
         }
-        let peer_health =
-            peers.iter().map(|&p| (p, PeerHealth::new(cfg.heartbeat, SimTime::ZERO))).collect();
+        // Egress is budgeted per peer, so full utilization is every peer's
+        // budget spent.
+        let budget = cfg.overload.egress_budget_per_tick.max(1) * peers.len().max(1);
         EdgeServerNode {
             cfg,
-            peers,
+            sync: PeerSync::new(cfg, &METRICS, peers, budget),
             headsets,
             local_anchors,
             fusion: BTreeMap::new(),
             dead_reckoners: BTreeMap::new(),
-            senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
             seats: SeatAllocator::new(layout),
             remote_latest: BTreeMap::new(),
-            interaction_rx: BTreeMap::new(),
-            interaction_tx: BTreeMap::new(),
-            interaction_log: BoundedQueue::new(
-                cfg.overload.interaction_log_capacity,
-                OverflowPolicy::DropNewest,
-            ),
-            peer_health,
-            tick_count: 0,
             frozen: BTreeMap::new(),
-            shedder: LoadShedder::new(cfg.overload.shed),
-            egress_backlog: BTreeMap::new(),
         }
     }
 
     /// The load-shedding ladder (for tests and invariant oracles).
     pub fn shedder(&self) -> &LoadShedder {
-        &self.shedder
+        self.sync.shedder()
     }
 
     /// Every bounded queue this server owns, as `(name, max depth ever,
     /// capacity)` — invariant oracles assert depth never exceeds capacity.
     pub fn overload_queues(&self) -> Vec<(String, usize, usize)> {
-        let mut out = vec![(
-            "edge.interaction_log".to_string(),
-            self.interaction_log.max_depth(),
-            self.interaction_log.capacity(),
-        )];
-        for (peer, backlog) in &self.egress_backlog {
+        let log = self.sync.interaction_log();
+        let mut out = vec![("edge.interaction_log".to_string(), log.max_depth(), log.capacity())];
+        for (peer, backlog) in self.sync.backlog() {
             out.push((
                 format!("edge.egress_backlog[{}]", peer.index()),
                 backlog.max_depth(),
@@ -194,65 +177,19 @@ impl EdgeServerNode {
     /// Every interaction event observed in this classroom, in order of
     /// in-sequence delivery (the retained bounded window, oldest first).
     pub fn interaction_log(&self) -> Vec<(AvatarId, InteractionEvent)> {
-        self.interaction_log.iter().cloned().collect()
+        self.sync.interaction_log().iter().cloned().collect()
     }
 
     /// The failure detector tracking `peer`, if it is one of this server's
     /// peers.
     pub fn peer_health(&self, peer: NodeId) -> Option<&PeerHealth> {
-        self.peer_health.get(&peer)
+        self.sync.health(peer)
     }
 
     /// How the remote avatar `avatar` should currently be presented, given
     /// the health of the peer its stream arrives from.
     pub fn presentation_of(&self, avatar: AvatarId, now: SimTime) -> RemoteAvatarPresentation {
-        self.receivers
-            .get(&avatar)
-            .and_then(|(source, _)| self.peer_health.get(source))
-            .map(|h| h.presentation(now))
-            .unwrap_or(RemoteAvatarPresentation::Live)
-    }
-
-    /// Full resynchronization of a peer that returned from an outage: the
-    /// restarted peer lost its receive state, so every snapshot stream
-    /// toward it restarts from a keyframe and its reliable interaction
-    /// streams are rebuilt carrying the outstanding tail.
-    fn resync_peer(&mut self, ctx: &mut Context<'_, ClassMsg>, peer: NodeId) {
-        ctx.metrics().inc("edge.peer_returns");
-        for ((p, _), sender) in self.senders.iter_mut() {
-            if *p == peer {
-                sender.request_keyframe();
-            }
-        }
-        let now = ctx.now();
-        let keys: Vec<(NodeId, AvatarId)> =
-            self.interaction_tx.keys().copied().filter(|(p, _)| *p == peer).collect();
-        for key in keys {
-            let outstanding =
-                self.interaction_tx.get_mut(&key).expect("just listed").take_outstanding();
-            let mut fresh = ReliableSender::new(INTERACTION_RTO);
-            for ev in outstanding {
-                let (seq, wire) = fresh.send(ev, now);
-                if let Some(event) = wire {
-                    let msg = ClassMsg::Interaction { avatar: key.1, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(peer, msg, size);
-                }
-            }
-            self.interaction_tx.insert(key, fresh);
-        }
-    }
-
-    /// Re-evaluates every peer's liveness against the clock.
-    fn poll_peers(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        let now = ctx.now();
-        for health in self.peer_health.values_mut() {
-            match health.poll(now) {
-                Some(PeerEvent::Degraded) => ctx.metrics().inc("edge.peer_degraded"),
-                Some(PeerEvent::Down) => ctx.metrics().inc("edge.peer_down"),
-                _ => {}
-            }
-        }
+        self.sync.presentation(self.receivers.get(&avatar).map(|(source, _)| *source), now)
     }
 
     /// Applies hold-then-freeze presentation to remote avatars whose source
@@ -287,52 +224,6 @@ impl EdgeServerNode {
         }
     }
 
-    fn on_interaction(
-        &mut self,
-        ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        avatar: AvatarId,
-        seq: u64,
-        event: InteractionEvent,
-        captured_at: SimTime,
-    ) {
-        let rx = self.interaction_rx.entry(avatar).or_default();
-        let ready = rx.on_packet(seq, event);
-        if let Some(ack) = rx.cumulative_ack() {
-            let msg = ClassMsg::InteractionAck { avatar, seq: ack };
-            let size = msg.wire_bytes();
-            ctx.send(from, msg, size);
-        }
-        if ready.is_empty() {
-            return;
-        }
-        let delay = ctx.now().duration_since(captured_at);
-        let relay = self.local_anchors.contains_key(&avatar);
-        for ev in ready {
-            ctx.metrics().inc("edge.interactions_delivered");
-            ctx.metrics().histogram("interaction.latency_ns").record(delay.as_nanos());
-            if relay {
-                // Local participants' events fan out to every peer server.
-                for peer in self.peers.clone() {
-                    let tx = self
-                        .interaction_tx
-                        .entry((peer, avatar))
-                        .or_insert_with(|| ReliableSender::new(INTERACTION_RTO));
-                    let (relay_seq, relay_ev) = tx.send(ev.clone(), ctx.now());
-                    if let Some(event) = relay_ev {
-                        let msg =
-                            ClassMsg::Interaction { avatar, seq: relay_seq, event, captured_at };
-                        let size = msg.wire_bytes();
-                        ctx.send(peer, msg, size);
-                    }
-                }
-            }
-            if self.interaction_log.push((avatar, ev)).is_some() {
-                ctx.metrics().inc("overload.interaction_log_dropped");
-            }
-        }
-    }
-
     /// Sends one avatar update toward `peer`, creating the stream on demand.
     fn send_update(
         &mut self,
@@ -347,38 +238,15 @@ impl EdgeServerNode {
             .get(&avatar)
             .copied()
             .unwrap_or_else(|| AnchorFrame::seat(Default::default()));
-        let sender = self.senders.entry((peer, avatar)).or_insert_with(|| {
-            SnapshotSender::new(AvatarCodec::new(self.cfg.codec), self.cfg.keyframe_interval)
-        });
-        let frame = sender.encode(&estimate);
-        let msg = ClassMsg::AvatarUpdate { avatar, frame, captured_at: now, anchor };
-        let size = msg.wire_bytes();
+        let size = self.sync.send_update(ctx, peer, avatar, &estimate, now, anchor);
         ctx.metrics().inc("edge.updates_sent");
         ctx.metrics().add("edge.update_bytes", size as u64);
-        ctx.send(peer, msg, size);
     }
 
-    /// One budgeted replication pass; returns the number of (peer, avatar)
-    /// sends *demanded* this tick, the shedder's pressure signal.
+    /// One budgeted replication pass (on a tick the shed ladder lets send);
+    /// returns the number of (peer, avatar) sends *demanded* this tick, the
+    /// shedder's pressure signal.
     fn replicate_local(&mut self, ctx: &mut Context<'_, ClassMsg>) -> usize {
-        let level = self.shedder.level();
-        if !level.sends_on_tick(self.tick_count) {
-            ctx.metrics().inc("overload.replicate_ticks_shed");
-            // See the cloud's fan-out: a Spectator tick must not leave the
-            // backlog pinning utilization high, or the ladder never
-            // recovers. Deferred refreshes are re-selected by the
-            // dead-reckoning check once replication resumes.
-            if level == ShedLevel::Spectator {
-                let discarded: usize = self.egress_backlog.values().map(|q| q.len()).sum();
-                if discarded > 0 {
-                    for q in self.egress_backlog.values_mut() {
-                        q.clear();
-                    }
-                    ctx.metrics().add("overload.spectator_backlog_discarded", discarded as u64);
-                }
-            }
-            return 0;
-        }
         let now = ctx.now();
         let budget = self.cfg.overload.egress_budget_per_tick.max(1);
         let mut sent_per_peer: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -387,12 +255,13 @@ impl EdgeServerNode {
         // Refreshes deferred by an earlier budget crunch go out first, from
         // the avatar's *current* estimate, bypassing dead-reckoning
         // suppression — so no peer is starved of an update it was owed.
-        for peer in self.peers.clone() {
+        let peers = self.sync.peers().to_vec();
+        for &peer in &peers {
             loop {
                 if *sent_per_peer.entry(peer).or_insert(0) >= budget {
                     break;
                 }
-                let Some(avatar) = self.egress_backlog.get_mut(&peer).and_then(|q| q.pop()) else {
+                let Some(avatar) = self.sync.pop_deferred(&peer) else {
                     break;
                 };
                 let estimate = match self.fusion.get_mut(&avatar) {
@@ -422,12 +291,11 @@ impl EdgeServerNode {
                 continue;
             }
             dr.mark_sent(now, estimate);
-            for peer in self.peers.clone() {
+            for &peer in &peers {
                 if flushed.contains(&(peer, avatar)) {
                     continue; // already refreshed from the backlog this tick
                 }
-                if self.peer_health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
-                {
+                if self.sync.skips(peer) {
                     ctx.metrics().inc("edge.updates_skipped_unhealthy_peer");
                     continue;
                 }
@@ -435,16 +303,7 @@ impl EdgeServerNode {
                 let sent = sent_per_peer.entry(peer).or_insert(0);
                 if *sent >= budget {
                     // Egress budget exhausted toward this peer: defer.
-                    let backlog = self.egress_backlog.entry(peer).or_insert_with(|| {
-                        BoundedQueue::new(
-                            self.cfg.overload.backlog_capacity,
-                            OverflowPolicy::DropOldest,
-                        )
-                    });
-                    if backlog.push(avatar).is_some() {
-                        ctx.metrics().inc("overload.backlog_dropped");
-                    }
-                    ctx.metrics().inc("overload.egress_deferred");
+                    self.sync.defer(ctx, peer, avatar);
                     continue;
                 }
                 *sent += 1;
@@ -452,18 +311,6 @@ impl EdgeServerNode {
             }
         }
         demand
-    }
-
-    /// Smoothed-pressure input for the ladder: whichever is worse of this
-    /// tick's demand-to-budget ratio and the backlog fill fraction.
-    fn utilization(&self, demand: usize) -> f64 {
-        let budget = self.cfg.overload.egress_budget_per_tick.max(1) * self.peers.len().max(1);
-        let demand_ratio = demand as f64 / budget as f64;
-        let backlog_len: usize = self.egress_backlog.values().map(|q| q.len()).sum();
-        let backlog_cap: usize = self.egress_backlog.values().map(|q| q.capacity()).sum();
-        let backlog_ratio =
-            if backlog_cap == 0 { 0.0 } else { backlog_len as f64 / backlog_cap as f64 };
-        demand_ratio.max(backlog_ratio)
     }
 
     fn on_remote_update(
@@ -479,46 +326,25 @@ impl EdgeServerNode {
             .receivers
             .entry(avatar)
             .or_insert_with(|| (from, SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec))));
-        match receiver.decode(&frame) {
-            Err(_) => {
-                ctx.metrics().inc("edge.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                    ctx.metrics().inc("edge.keyframe_requests");
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let msg = ClassMsg::AvatarAck { avatar, seq };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics().histogram("edge.remote_update_latency_ns").record(inbound.as_nanos());
-                match self.seats.assign(avatar) {
-                    Ok(_) => {
-                        let seat = *self.seats.anchor_of(avatar).expect("just assigned");
-                        let (retargeted, report) = retarget(&state, &anchor, &seat);
-                        if report.clamp_distance > 0.0 {
-                            ctx.metrics().inc("edge.retarget_clamps");
-                        }
-                        self.remote_latest.insert(avatar, (retargeted, captured_at));
-                        for headset in self.headsets.values() {
-                            let msg =
-                                ClassMsg::DisplayUpdate { avatar, state: retargeted, captured_at };
-                            let size = msg.wire_bytes();
-                            ctx.send(*headset, msg, size);
-                        }
-                    }
-                    Err(_) => {
-                        ctx.metrics().inc("edge.seat_rejects");
-                    }
-                }
-            }
+        let Some(state) = self.sync.receive(ctx, from, avatar, receiver, &frame) else {
+            return;
+        };
+        let inbound = ctx.now().duration_since(captured_at);
+        ctx.metrics().histogram("edge.remote_update_latency_ns").record(inbound.as_nanos());
+        if self.seats.assign(avatar).is_err() {
+            ctx.metrics().inc("edge.seat_rejects");
+            return;
+        }
+        let seat = *self.seats.anchor_of(avatar).expect("just assigned");
+        let (retargeted, report) = retarget(&state, &anchor, &seat);
+        if report.clamp_distance > 0.0 {
+            ctx.metrics().inc("edge.retarget_clamps");
+        }
+        self.remote_latest.insert(avatar, (retargeted, captured_at));
+        for headset in self.headsets.values() {
+            let msg = ClassMsg::DisplayUpdate { avatar, state: retargeted, captured_at };
+            let size = msg.wire_bytes();
+            ctx.send(*headset, msg, size);
         }
     }
 }
@@ -526,59 +352,25 @@ impl EdgeServerNode {
 impl Node<ClassMsg> for EdgeServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_, ClassMsg>) {
         ctx.set_timer(self.cfg.tick, TAG_TICK);
-        if !self.peers.is_empty() {
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
-        }
+        self.sync.start(ctx, TAG_HEARTBEAT);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ClassMsg>, timer: Timer) {
         if timer.tag == TAG_HEARTBEAT {
-            let now = ctx.now();
-            for peer in self.peers.clone() {
-                let msg = ClassMsg::Heartbeat { sent_at: now };
-                let size = msg.wire_bytes();
-                ctx.send(peer, msg, size);
-            }
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
+            self.sync.heartbeat(ctx, TAG_HEARTBEAT);
             return;
         }
         if timer.tag == TAG_TICK {
-            self.tick_count += 1;
-            self.poll_peers(ctx);
-            let demand = self.replicate_local(ctx);
-            let now = ctx.now();
-            let utilization = self.utilization(demand);
-            ctx.metrics()
-                .histogram("overload.utilization_milli")
-                .record((utilization * 1000.0) as u64);
-            if let Some(t) = self.shedder.observe(now, utilization) {
-                ctx.metrics().inc("overload.shed_transitions");
-                ctx.metrics().add("overload.shed_level", t.to.rung() as u64);
-            }
-            // Pump reliable retransmissions of relayed interactions.
-            for ((peer, avatar), tx) in self.interaction_tx.iter_mut() {
-                for (seq, event) in tx.due_retransmits(now) {
-                    let msg =
-                        ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(*peer, msg, size);
-                }
-                for (_seq, _event) in tx.drain_given_up() {
-                    ctx.metrics().inc("edge.interactions_given_up");
-                }
-            }
+            let sends = self.sync.begin_tick(ctx).is_some();
+            let demand = if sends { self.replicate_local(ctx) } else { 0 };
+            self.sync.end_tick(ctx, demand);
             self.apply_presentations(ctx);
             ctx.set_timer(self.cfg.tick, TAG_TICK);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ClassMsg>, from: NodeId, msg: ClassMsg) {
-        // Any traffic from a peer server counts as liveness.
-        if let Some(health) = self.peer_health.get_mut(&from) {
-            if health.on_heard(ctx.now()) == Some(PeerEvent::Returned) {
-                self.resync_peer(ctx, from);
-            }
-        }
+        self.sync.on_heard(ctx, from);
         match msg {
             ClassMsg::HeadsetPose { avatar, measurement, captured_at } => {
                 self.fusion.entry(avatar).or_default().ingest(captured_at, &measurement);
@@ -594,53 +386,24 @@ impl Node<ClassMsg> for EdgeServerNode {
             ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor } => {
                 self.on_remote_update(ctx, from, avatar, frame, captured_at, anchor);
             }
-            ClassMsg::AvatarAck { avatar, seq } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.on_ack(seq);
-                }
-            }
-            ClassMsg::KeyframeRequest { avatar } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.request_keyframe();
-                }
-            }
-            ClassMsg::ClockProbe { nonce, client_send } => {
-                let msg = ClassMsg::ClockReply { nonce, client_send, server_time: ctx.now() };
-                let size = msg.wire_bytes();
-                ctx.send(from, msg, size);
-            }
             ClassMsg::Interaction { avatar, seq, event, captured_at } => {
-                self.on_interaction(ctx, from, avatar, seq, event, captured_at);
+                // Local participants' events fan out to every peer server.
+                let relay = self.local_anchors.contains_key(&avatar);
+                self.sync.on_interaction(ctx, from, avatar, seq, event, captured_at, relay);
             }
-            ClassMsg::InteractionAck { avatar, seq } => {
-                if let Some(tx) = self.interaction_tx.get_mut(&(from, avatar)) {
-                    tx.on_ack_at(seq, ctx.now());
-                }
-            }
-            // Liveness was already recorded above; nothing else to do.
-            ClassMsg::Heartbeat { .. } => {}
-            _ => {}
+            other => self.sync.on_message(ctx, from, other),
         }
     }
 
     fn on_crash(&mut self) {
         // A crashed edge loses all volatile session state; the deployment
         // configuration (peers, roster, anchors) survives.
+        self.sync.reset();
         self.fusion.clear();
         self.dead_reckoners.clear();
-        self.senders.clear();
         self.receivers.clear();
         self.seats = SeatAllocator::new(self.seats.layout().clone());
         self.remote_latest.clear();
-        self.interaction_rx.clear();
-        self.interaction_tx.clear();
-        self.interaction_log.clear();
-        for health in self.peer_health.values_mut() {
-            health.reset();
-        }
-        self.tick_count = 0;
         self.frozen.clear();
-        self.shedder.reset();
-        self.egress_backlog.clear();
     }
 }

@@ -44,6 +44,7 @@ mod edge_server;
 mod health;
 mod messages;
 mod overload;
+mod peer_sync;
 mod platform;
 mod pool;
 mod seat;

@@ -251,6 +251,14 @@ fn backbone_outage_heals_after_recovery() {
     assert!(client.displayed_state(AvatarId(0), SimTime::from_secs(8)).is_some());
     let after = d.sim.metrics().counter_value("cloud.fanout_updates");
     assert!(after > before, "fan-out stalled after recovery");
+
+    // The cut outlasts the heartbeat timeout on both sides, so each server
+    // declares the other down and resyncs it exactly once when it returns.
+    let m = d.sim.metrics();
+    assert!(m.counter_value("cloud.edge_down") >= 1, "cloud never declared the edge down");
+    assert!(m.counter_value("edge.peer_down") >= 1, "edge never declared the cloud down");
+    assert_eq!(m.counter_value("cloud.edge_returns"), 1, "cloud resyncs the edge once");
+    assert_eq!(m.counter_value("edge.peer_returns"), 1, "edge resyncs the cloud once");
 }
 
 #[test]

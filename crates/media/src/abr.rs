@@ -132,11 +132,6 @@ impl AbrController {
         self.switches
     }
 
-    /// Smoothed throughput estimate, bits/second.
-    pub fn estimated_throughput(&self) -> Option<f64> {
-        self.throughput_ewma
-    }
-
     /// Feeds one observation window: measured goodput (bits/s), packet-loss
     /// fraction, and observed RTT, then applies the switching policy.
     pub fn observe(&mut self, goodput_bps: f64, loss: f64, _rtt: SimDuration) {

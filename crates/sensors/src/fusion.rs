@@ -116,7 +116,6 @@ pub struct PoseFusion {
     expression: ExpressionFrame,
     last_time: Option<SimTime>,
     position_initialized: bool,
-    updates: u64,
 }
 
 impl PoseFusion {
@@ -133,13 +132,7 @@ impl PoseFusion {
             expression: ExpressionFrame::neutral(),
             last_time: None,
             position_initialized: false,
-            updates: 0,
         }
-    }
-
-    /// Number of measurements ingested.
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     /// Whether at least one position measurement has arrived.
@@ -166,7 +159,6 @@ impl PoseFusion {
     /// Ingests one measurement taken at time `t`.
     pub fn ingest(&mut self, t: SimTime, m: &PoseMeasurement) {
         self.predict_to(t);
-        self.updates += 1;
 
         if !self.position_initialized {
             for (axis, z) in self.axes.iter_mut().zip([m.position.x, m.position.y, m.position.z]) {

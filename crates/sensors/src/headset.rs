@@ -191,11 +191,6 @@ impl HeadsetModel {
         ExpressionFrame::from_weights(weights)
     }
 
-    /// Whether the headset is currently in a tracking-loss gap.
-    pub fn is_tracking_lost(&self) -> bool {
-        self.loss_remaining > 0
-    }
-
     /// Current drift bias (for tests and diagnostics).
     pub fn drift(&self) -> Vec3 {
         self.drift

@@ -301,28 +301,22 @@ impl Topology {
     pub fn of(session: &ClassroomSession) -> Topology {
         let cloud = session.cloud();
         let edges = session.edges().to_vec();
-        let mut campus_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut campus_avatars: Vec<Vec<AvatarId>> = Vec::new();
-        for (k, &edge) in edges.iter().enumerate() {
-            // The builder registers campus nodes contiguously: edge, then
-            // the room array, then one headset per participant.
-            let array = NodeId::from_index(edge.index() + 1);
-            let mut nodes = vec![edge, array];
-            let mut avatars = Vec::new();
-            for p in session.participants() {
-                let campus = match p.role {
-                    metaclass_core::Role::Student { campus }
-                    | metaclass_core::Role::Presenter { campus } => campus,
-                    metaclass_core::Role::RemoteLearner { .. } => continue,
-                };
-                if campus == k {
-                    nodes.push(p.node);
-                    avatars.push(p.avatar);
-                }
-            }
-            campus_nodes.push(nodes);
-            campus_avatars.push(avatars);
-        }
+        let campus_nodes: Vec<Vec<NodeId>> =
+            session.campus_nodes().iter().map(metaclass_core::CampusNodes::all).collect();
+        let campus_avatars: Vec<Vec<AvatarId>> = (0..campus_nodes.len())
+            .map(|k| {
+                session
+                    .participants()
+                    .iter()
+                    .filter(|p| match p.role {
+                        metaclass_core::Role::Student { campus }
+                        | metaclass_core::Role::Presenter { campus } => campus == k,
+                        metaclass_core::Role::RemoteLearner { .. } => false,
+                    })
+                    .map(|p| p.avatar)
+                    .collect()
+            })
+            .collect();
         let remote_clients: Vec<(AvatarId, NodeId)> = session
             .participants()
             .iter()
@@ -539,8 +533,8 @@ for_ms = 300
 
     #[test]
     fn spec_fault_plan_matches_the_lowered_fixed_windows() {
-        // Core lowers spec faults from node ids it computes from the
-        // builder's layout; simcheck lowers them from the built topology.
+        // Core lowers spec faults over the session's campus node ids;
+        // simcheck lowers them from its topology of the same session.
         let kinds = [
             FaultKind::LinkFlap,
             FaultKind::LossBurst,
@@ -556,10 +550,11 @@ for_ms = 300
                 .map(|(&kind, i)| FaultSpec { kind, campus: 1, at_ms: 500 + 200 * i, for_ms: 150 })
                 .collect(),
         );
-        let core_events = spec.fault_plan().expect("spec has faults").into_sorted_events();
         let mut scn = Scenario::quick(5);
         scn.spec = Some(spec);
-        let (_, topo) = scn.build();
+        let (session, topo) = scn.build();
+        let spec = scn.spec.as_ref().expect("spec set above");
+        let core_events = spec.fault_plan(&session).expect("spec has faults").into_sorted_events();
         let lowered = crate::plan::lower(&scn.fixed_windows(&topo)).into_sorted_events();
         assert_eq!(core_events.len(), 2 * kinds.len(), "every window opens and closes");
         assert_eq!(core_events.len(), lowered.len());

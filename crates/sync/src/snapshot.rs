@@ -85,11 +85,6 @@ impl SnapshotSender {
         }
     }
 
-    /// Frames encoded so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.next_seq
-    }
-
     /// States retained while awaiting acknowledgement.
     pub fn history_len(&self) -> usize {
         self.history.len()

@@ -3,10 +3,10 @@
 #
 # Regenerates the quick benchmark sweeps and fails if any of:
 #   1. the emitted BENCH documents (all registered experiments plus every
-#      scenarios/*.toml workload spec) drift
-#      byte-for-byte from the committed baselines in results/baselines/
-#      (determinism regression: the sweep output must be a pure function of
-#      experiment, scale, and seeds), or
+#      scenarios/*.toml workload spec) or the `bench simcheck` transcripts
+#      listed in SIMCHECKS drift byte-for-byte from the committed baselines
+#      in results/baselines/ (determinism regression: the output must be a
+#      pure function of experiment, scale, and seeds), or
 #   2. the e2/e5 quick sweep wall time regresses more than
 #      PERF_GATE_TOLERANCE percent (default 25) against the committed timing
 #      baseline, or
@@ -43,6 +43,13 @@ for f in scenarios/*.toml; do
     SCENARIOS="$SCENARIOS scenario_$name"
     SCENARIO_ARGS+=(--scenario "$f")
 done
+# simcheck transcripts held byte-identical: "<name>|<bench simcheck args>"
+# writes results/SIMCHECK_<name>.txt.
+SIMCHECKS=(
+    "seed7|--seed 7 --cases 200"
+    "pooled|--seed 11 --cases 25 --pooled 12"
+    "stress|--seed 7 --cases 50 --scenario scenarios/stress.toml"
+)
 UPDATE=0
 for arg in "$@"; do
     case "$arg" in
@@ -97,6 +104,17 @@ if [ "${#SCENARIO_ARGS[@]}" -gt 0 ]; then
 fi
 # shellcheck disable=SC2086
 run "$BENCH" --validate $bench_files scenarios/*.toml
+simcheck_files=""
+for entry in "${SIMCHECKS[@]}"; do
+    name=${entry%%|*}
+    out="results/SIMCHECK_$name.txt"
+    simcheck_files="$simcheck_files $out"
+    echo "==> $BENCH simcheck ${entry#*|} > $out"
+    # A failing exploration exits non-zero; its transcript then differs from
+    # the baseline, which gate 1 reports.
+    # shellcheck disable=SC2086
+    "$BENCH" simcheck ${entry#*|} > "$out" || true
+done
 
 # --- scheduler microbench: wheel must beat the heap baseline ----------------
 run cargo bench --offline -p metaclass-netsim --bench sched -- sched_fanout
@@ -122,7 +140,7 @@ fi
 
 if [ "$UPDATE" -eq 1 ]; then
     # shellcheck disable=SC2086
-    cp $bench_files "$BASELINES/"
+    cp $bench_files $simcheck_files "$BASELINES/"
     cp results/TIMING_current.json "$BASELINES/TIMING_baseline.json"
     echo "==> baselines updated in $BASELINES/"
     exit 0
@@ -139,6 +157,15 @@ for exp in $ALL_EXPS $SCENARIOS; do
         fail=1
     else
         echo "==> BENCH_$exp.json byte-identical to baseline"
+    fi
+done
+for out in $simcheck_files; do
+    base="$BASELINES/$(basename "$out")"
+    if ! cmp -s "$base" "$out"; then
+        echo "FAIL: $out drifted from $base" >&2
+        fail=1
+    else
+        echo "==> $(basename "$out") byte-identical to baseline"
     fi
 done
 
