@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use metaclass_bench::experiments::scenario::{scenarios_in, ScenarioExperiment};
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig};
-use metaclass_bench::{default_jobs, experiments, quick_requested, Experiment, Scale};
+use metaclass_bench::{default_jobs, experiments, Experiment, Scale};
 use metaclass_core::ScenarioSpec;
 
 /// The repository's scenario registry directory.
@@ -29,6 +29,7 @@ struct Args {
     exp: Option<String>,
     seeds: u64,
     jobs: usize,
+    scale: Scale,
     json: bool,
     list: bool,
     population: Option<u64>,
@@ -64,6 +65,7 @@ fn parse_args() -> Args {
         exp: None,
         seeds: 8,
         jobs: default_jobs(),
+        scale: Scale::Full,
         json: false,
         list: false,
         population: None,
@@ -90,7 +92,7 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = true,
             "--list" => args.list = true,
-            "--quick" => {} // read via quick_requested()
+            "--quick" => args.scale = Scale::Quick,
             "--population" => {
                 let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
                 if n == 0 {
@@ -190,7 +192,7 @@ fn main() -> ExitCode {
     if args.exp.is_none() && args.scenarios.is_empty() {
         usage()
     }
-    let scale = Scale::from_quick_flag(quick_requested());
+    let scale = args.scale;
     let mut targets: Vec<&'static dyn metaclass_bench::Experiment> = Vec::new();
     if let Some(exp_arg) = &args.exp {
         if exp_arg.eq_ignore_ascii_case("all") {

@@ -53,15 +53,6 @@ impl Scale {
         matches!(self, Scale::Quick)
     }
 
-    /// Maps the legacy `quick: bool` convention onto a scale.
-    pub fn from_quick_flag(quick: bool) -> Self {
-        if quick {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Stable lowercase name, used in JSON and CLI output.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -268,13 +259,6 @@ impl Display for Table {
     }
 }
 
-/// Whether the current invocation asked for the reduced configuration
-/// (`--quick` argument or `METACLASS_QUICK=1`).
-pub fn quick_requested() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("METACLASS_QUICK").is_ok_and(|v| v == "1")
-}
-
 /// Runs independent seeded trials on at most `jobs` scoped worker threads.
 ///
 /// Deterministic by construction: results come back ordered by trial index
@@ -381,9 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_round_trips_the_quick_flag() {
-        assert!(Scale::from_quick_flag(true).is_quick());
-        assert!(!Scale::from_quick_flag(false).is_quick());
+    fn scale_names_are_stable() {
+        assert!(Scale::Quick.is_quick());
+        assert!(!Scale::Full.is_quick());
         assert_eq!(Scale::Quick.as_str(), "quick");
         assert_eq!(Scale::Full.to_string(), "full");
     }

@@ -68,8 +68,7 @@ pub use path::{mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, HopLatency, Pa
 pub use report::SessionReport;
 pub use scenario::{
     FaultKind, FaultSpec, FlashCrowdSpec, MobilityEvent, PopulationSpec, ScenarioCampus,
-    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec, FAULT_EXTRA_LATENCY,
-    FAULT_LOSS,
+    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec,
 };
 pub use session::{
     protocol_codec, Activity, CampusNodes, CampusSpec, ClassroomSession, CohortSpec, Participant,

@@ -21,16 +21,16 @@ use std::path::Path;
 
 use metaclass_edge::DevicePlatform;
 use metaclass_netsim::{
-    FaultPlan, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
+    FaultWindow, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
 };
 use serde::{Deserialize, Serialize, Value};
 
-use crate::session::{Activity, CampusNodes, ClassroomSession, CohortSpec, SessionBuilder};
+use crate::session::{Activity, ClassroomSession, CohortSpec, Role, SessionBuilder};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
-pub const FAULT_LOSS: f64 = 0.5;
+const FAULT_LOSS: f64 = 0.5;
 /// Extra one-way latency applied by a [`FaultKind::LatencySpike`] window.
-pub const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
+const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 // --------------------------------------------------------------- the schema
 
@@ -322,56 +322,64 @@ impl ScenarioSpec {
         b
     }
 
-    /// The fault plan the spec's stress section lowers to, if any, over the
-    /// node ids of `session` (built from this spec).
-    pub fn fault_plan(&self, session: &ClassroomSession) -> Option<FaultPlan> {
-        let faults = self.stress.as_ref()?.faults.as_ref()?;
-        if faults.is_empty() {
-            return None;
-        }
+    /// The spec's stress faults as [`FaultWindow`]s over the node ids of
+    /// `session` (built from this spec); empty without faults. Link faults
+    /// hit the campus's edge–cloud connection and `CrashEdge` crashes and
+    /// restarts its edge. A `Partition` isolates the campus from a group
+    /// holding every other node (the cloud, the other campuses, then the
+    /// remote clients and pools), so the partition covers the whole network.
+    pub fn fault_windows(&self, session: &ClassroomSession) -> Vec<FaultWindow> {
+        let Some(faults) = self.stress.as_ref().and_then(|s| s.faults.as_ref()) else {
+            return Vec::new();
+        };
         let cloud = session.cloud();
-        let campus_nodes: Vec<Vec<NodeId>> =
-            session.campus_nodes().iter().map(CampusNodes::all).collect();
-        let mut plan = FaultPlan::new();
-        for f in faults {
-            let k = f.campus as usize;
-            let edge = campus_nodes[k][0];
-            let from = SimTime::from_millis(f.at_ms);
-            let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
-            plan = match f.kind {
-                FaultKind::LinkFlap => plan.link_flap(edge, cloud, from, until),
-                FaultKind::LossBurst => {
-                    plan.loss_burst(edge, cloud, from, until, LossModel::Iid { p: FAULT_LOSS })
+        let campus_nodes = session.campus_nodes();
+        faults
+            .iter()
+            .map(|f| {
+                let k = f.campus as usize;
+                let (a, b) = (campus_nodes[k].edge, cloud);
+                let from = SimTime::from_millis(f.at_ms);
+                let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
+                match f.kind {
+                    FaultKind::LinkFlap => FaultWindow::LinkFlap { a, b, from, until },
+                    FaultKind::LossBurst => {
+                        let loss = LossModel::Iid { p: FAULT_LOSS };
+                        FaultWindow::LossBurst { a, b, from, until, loss }
+                    }
+                    FaultKind::LatencySpike => {
+                        FaultWindow::LatencySpike { a, b, from, until, extra: FAULT_EXTRA_LATENCY }
+                    }
+                    FaultKind::Partition => {
+                        let others = campus_nodes.iter().enumerate().filter(|&(m, _)| m != k);
+                        let remotes = session
+                            .participants()
+                            .iter()
+                            .filter(|p| matches!(p.role, Role::RemoteLearner { .. }))
+                            .map(|p| p.node);
+                        let rest: Vec<NodeId> = std::iter::once(cloud)
+                            .chain(others.flat_map(|(_, c)| c.all()))
+                            .chain(remotes)
+                            .chain(session.pools().iter().map(|p| p.node))
+                            .collect();
+                        FaultWindow::Partition {
+                            groups: vec![campus_nodes[k].all(), rest],
+                            from,
+                            until,
+                        }
+                    }
+                    FaultKind::CrashEdge => FaultWindow::CrashRestart { node: a, from, until },
                 }
-                FaultKind::LatencySpike => {
-                    plan.latency_spike(edge, cloud, from, until, FAULT_EXTRA_LATENCY)
-                }
-                FaultKind::Partition => {
-                    let isolated = campus_nodes[k].clone();
-                    let rest: Vec<NodeId> = std::iter::once(cloud)
-                        .chain(
-                            campus_nodes
-                                .iter()
-                                .enumerate()
-                                .filter(|(m, _)| *m != k)
-                                .flat_map(|(_, ns)| ns.iter().copied()),
-                        )
-                        .collect();
-                    plan.partition_window(&[&isolated, &rest], from, until)
-                }
-                FaultKind::CrashEdge => plan.crash(edge, from, Some(until)),
-            };
-        }
-        Some(plan)
+            })
+            .collect()
     }
 
     /// Builds the runnable session: expands the spec at `seed` and applies
-    /// the stress fault plan, if any.
+    /// its stress faults.
     pub fn build_session(&self, seed: u64) -> ClassroomSession {
         let mut session = self.session_builder(seed).build();
-        if let Some(plan) = self.fault_plan(&session) {
-            session.sim_mut().apply_fault_plan(plan);
-        }
+        let faults = self.fault_windows(&session);
+        session.sim_mut().apply_faults(&faults);
         session
     }
 
@@ -967,6 +975,71 @@ mod tests {
             s.sim().trace().expect("trace enabled").fingerprint_hex()
         };
         assert_eq!(fingerprint(), fingerprint(), "rerun identical");
+    }
+
+    #[test]
+    fn fault_windows_lower_each_kind_over_the_built_session() {
+        let mut spec = lab_spec();
+        spec.campuses.push(ScenarioCampus {
+            name: "MEL".into(),
+            region: Region::Oceania,
+            students: 1,
+            presenter: false,
+        });
+        let stress = spec.stress.as_mut().expect("lab spec has stress");
+        stress.population = Some(PopulationSpec {
+            region: Region::EastAsia,
+            members: 20,
+            tracers: 1,
+            access: LinkClass::ResidentialAccess,
+            at_ms: 500,
+            spread_ms: 100,
+        });
+        let kinds = [
+            FaultKind::LinkFlap,
+            FaultKind::LossBurst,
+            FaultKind::LatencySpike,
+            FaultKind::Partition,
+            FaultKind::CrashEdge,
+        ];
+        stress.faults = Some(
+            kinds
+                .iter()
+                .zip(0u64..)
+                .map(|(&kind, i)| FaultSpec { kind, campus: 1, at_ms: 500 + 200 * i, for_ms: 150 })
+                .collect(),
+        );
+        let session = spec.session_builder(5).build();
+        let (a, b) = (session.campus_nodes()[1].edge, session.cloud());
+        let ms = SimTime::from_millis;
+        let windows = spec.fault_windows(&session);
+        assert_eq!(windows.len(), kinds.len());
+        assert_eq!(windows[0], FaultWindow::LinkFlap { a, b, from: ms(500), until: ms(650) });
+        let loss = LossModel::Iid { p: 0.5 };
+        assert_eq!(
+            windows[1],
+            FaultWindow::LossBurst { a, b, from: ms(700), until: ms(850), loss }
+        );
+        let extra = SimDuration::from_millis(80);
+        let spike = FaultWindow::LatencySpike { a, b, from: ms(900), until: ms(1050), extra };
+        assert_eq!(windows[2], spike);
+        let FaultWindow::Partition { groups, from, until } = &windows[3] else {
+            panic!("expected a partition, got {:?}", windows[3]);
+        };
+        assert_eq!((*from, *until), (ms(1100), ms(1250)));
+        assert_eq!(groups[0], session.campus_nodes()[1].all(), "campus 1 is isolated");
+        assert!(!session.pools().is_empty(), "the pool node needs covering too");
+        let mut covered = groups.concat();
+        covered.sort_unstable();
+        covered.dedup();
+        assert_eq!(
+            covered.len(),
+            groups.iter().map(Vec::len).sum::<usize>(),
+            "groups are disjoint"
+        );
+        assert_eq!(covered.len(), session.sim().node_count(), "groups cover every node");
+        let crash = FaultWindow::CrashRestart { node: a, from: ms(1300), until: ms(1450) };
+        assert_eq!(windows[4], crash);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use metaclass_sync::{
 };
 
 use crate::edge_server::ServerConfig;
-use crate::health::{PeerHealth, RemoteAvatarPresentation};
+use crate::health::RemoteAvatarPresentation;
 use crate::messages::ClassMsg;
 use crate::overload::{AdmissionController, AdmissionOutcome, LoadShedder, ShedLevel};
 use crate::peer_sync::{PeerSync, SyncMetrics};
@@ -33,7 +33,6 @@ const METRICS: SyncMetrics = SyncMetrics {
     degraded: "cloud.edge_degraded",
     down: "cloud.edge_down",
     delivered: "cloud.interactions_delivered",
-    given_up: "cloud.interactions_given_up",
     decode_errors: "cloud.decode_errors",
     keyframe_requests: None,
     ticks_shed: "overload.fanout_ticks_shed",
@@ -206,11 +205,6 @@ impl CloudServerNode {
             ));
         }
         out
-    }
-
-    /// The failure detector tracking `edge`, if it is one of ours.
-    pub fn edge_health(&self, edge: NodeId) -> Option<&PeerHealth> {
-        self.sync.health(edge)
     }
 
     /// How `avatar` should currently be presented, given the health of the

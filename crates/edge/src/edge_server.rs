@@ -34,7 +34,6 @@ const METRICS: SyncMetrics = SyncMetrics {
     degraded: "edge.peer_degraded",
     down: "edge.peer_down",
     delivered: "edge.interactions_delivered",
-    given_up: "edge.interactions_given_up",
     decode_errors: "edge.decode_errors",
     keyframe_requests: Some("edge.keyframe_requests"),
     ticks_shed: "overload.replicate_ticks_shed",

@@ -46,8 +46,6 @@ pub(crate) struct SyncMetrics {
     pub down: &'static str,
     /// An interaction event was delivered in order.
     pub delivered: &'static str,
-    /// A relayed interaction exhausted its retransmissions.
-    pub given_up: &'static str,
     /// An inbound snapshot frame failed to decode.
     pub decode_errors: &'static str,
     /// A keyframe was requested for an undecodable delta, if counted.
@@ -423,7 +421,7 @@ impl<K: Ord> PeerSync<K> {
     }
 
     /// Closes a replication tick that demanded `demand` sends: feeds the
-    /// shed ladder, then pumps interaction retransmissions and give-ups.
+    /// shed ladder, then pumps interaction retransmissions.
     pub fn end_tick(&mut self, ctx: &mut Context<'_, ClassMsg>, demand: usize) {
         let now = ctx.now();
         let utilization = self.utilization(demand);
@@ -437,9 +435,6 @@ impl<K: Ord> PeerSync<K> {
                 let msg = ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now };
                 let size = msg.wire_bytes();
                 ctx.send(*peer, msg, size);
-            }
-            for _ in tx.drain_given_up() {
-                ctx.metrics().inc(self.metrics.given_up);
             }
         }
     }

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use metaclass_netsim::sched::{BinaryHeapQueue, EventQueue, TimerWheel};
 use metaclass_netsim::{
-    Context, DetRng, FaultPlan, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation,
+    Context, DetRng, FaultWindow, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation,
 };
 
 /// Deterministic event-time pattern mixing slot-local, horizon-scale, and
@@ -200,15 +200,17 @@ fn engine_fanout(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut sim = build_fanout_sim(64);
-                let mut plan = FaultPlan::new();
                 // Periodic flaps of one hub link: fault events interleave
                 // with the broadcast bursts.
-                for k in 0..20u64 {
-                    let down = SimTime::from_millis(20 + k * 40);
-                    let up = SimTime::from_millis(40 + k * 40);
-                    plan = plan.link_flap(NodeId::from_index(64), NodeId::from_index(0), down, up);
-                }
-                sim.apply_fault_plan(plan);
+                let flaps: Vec<FaultWindow> = (0..20u64)
+                    .map(|k| FaultWindow::LinkFlap {
+                        a: NodeId::from_index(64),
+                        b: NodeId::from_index(0),
+                        from: SimTime::from_millis(20 + k * 40),
+                        until: SimTime::from_millis(40 + k * 40),
+                    })
+                    .collect();
+                sim.apply_faults(&flaps);
                 sim
             },
             |mut sim| {

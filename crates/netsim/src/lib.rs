@@ -20,11 +20,12 @@
 //! - [`MetricsRegistry`] / [`Histogram`] — deterministic measurement;
 //! - [`Trace`] — bounded event traces with fingerprints for determinism
 //!   tests;
-//! - [`FaultPlan`] / [`FaultAction`] — seeded, replayable fault scripts
-//!   (link flaps, loss bursts, latency spikes, partitions, node
-//!   crash/restart) executed by the engine as ordinary events;
+//! - [`FaultWindow`] / [`FaultAction`] — replayable fault scripts (link
+//!   flaps, loss bursts, latency spikes, partitions, node crash/restart
+//!   windows) whose opening and closing actions the engine executes as
+//!   ordinary events;
 //! - [`PopulationProfile`] / [`PopulationTimeline`] — deterministic
-//!   arrival/churn schedules (flash crowds, Poisson, MMPP) that drive the
+//!   arrival/churn schedules (flash crowds, Poisson trickles) that drive the
 //!   flyweight client pools of the million-user population layer.
 //!
 //! # Examples
@@ -61,6 +62,7 @@
 #![warn(missing_docs)]
 
 mod fault;
+mod fnv;
 mod link;
 mod metrics;
 mod node;
@@ -73,7 +75,8 @@ mod time;
 mod topology;
 mod trace;
 
-pub use fault::{FaultAction, FaultPlan};
+pub use fault::{FaultAction, FaultWindow};
+pub use fnv::Fnv1a;
 pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Transmit};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
 pub use node::{Context, Envelope, Node, NodeId, Timer};

@@ -38,19 +38,6 @@ pub enum ArrivalProcess {
         /// Mean inter-arrival gap between consecutive joins.
         mean_gap: SimDuration,
     },
-    /// Markov-modulated Poisson process: alternates between a busy and a
-    /// quiet phase, each exponentially distributed, with distinct mean
-    /// inter-arrival gaps. Captures bursty regional daybreak joins.
-    Mmpp {
-        /// First arrival is sampled after this instant.
-        from: SimTime,
-        /// Mean inter-arrival gap while the process is in the busy phase.
-        busy_gap: SimDuration,
-        /// Mean inter-arrival gap while the process is in the quiet phase.
-        quiet_gap: SimDuration,
-        /// Mean dwell time in either phase before switching.
-        phase_mean: SimDuration,
-    },
 }
 
 /// Diurnal churn riding on top of the arrival process: each member that has
@@ -143,31 +130,6 @@ impl PopulationTimeline {
                 let mut t = from;
                 for _ in 0..members {
                     t += SimDuration::from_nanos(rng.exponential(rate) as u64);
-                    joins.push(t);
-                }
-            }
-            ArrivalProcess::Mmpp { from, busy_gap, quiet_gap, phase_mean } => {
-                let rate_of = |busy: bool| {
-                    let gap = if busy { busy_gap } else { quiet_gap };
-                    1.0 / (gap.as_nanos().max(1) as f64)
-                };
-                let phase_rate = 1.0 / (phase_mean.as_nanos().max(1) as f64);
-                let mut t = from;
-                let mut busy = true;
-                let mut phase_left = rng.exponential(phase_rate);
-                for _ in 0..members {
-                    let mut gap = rng.exponential(rate_of(busy));
-                    // A phase switch mid-gap rescales the memoryless residual
-                    // to the new phase's rate (hazard units are preserved).
-                    while gap > phase_left {
-                        t += SimDuration::from_nanos(phase_left as u64);
-                        let residual = gap - phase_left;
-                        gap = residual * rate_of(busy) / rate_of(!busy);
-                        busy = !busy;
-                        phase_left = rng.exponential(phase_rate);
-                    }
-                    phase_left -= gap;
-                    t += SimDuration::from_nanos(gap as u64);
                     joins.push(t);
                 }
             }
@@ -352,26 +314,6 @@ mod tests {
         assert_eq!(joins, 2000);
         assert!(leaves <= joins);
         assert!(leaves > 0, "with 50% churn over 2000 members some must leave");
-    }
-
-    #[test]
-    fn mmpp_produces_monotone_arrivals_for_all_members() {
-        let profile = PopulationProfile {
-            arrivals: ArrivalProcess::Mmpp {
-                from: SimTime::ZERO,
-                busy_gap: SimDuration::from_micros(100),
-                quiet_gap: SimDuration::from_millis(10),
-                phase_mean: SimDuration::from_millis(50),
-            },
-            churn: None,
-        };
-        let mut rng = DetRng::new(11);
-        let tl = PopulationTimeline::generate(&profile, 300, SimTime::from_secs(60), &mut rng);
-        let total: i64 = tl.events().iter().map(|e| e.delta).sum();
-        assert_eq!(total, 300);
-        for w in tl.events().windows(2) {
-            assert!(w[0].at < w[1].at, "events are strictly ordered after coalescing");
-        }
     }
 
     #[test]

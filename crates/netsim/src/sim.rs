@@ -7,7 +7,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::{FaultAction, FaultWindow};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Transmit};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::node::{Context, Envelope, Node, NodeId, Op, Timer};
@@ -457,17 +457,32 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    /// Installs a fault plan: each scripted action becomes an engine event
-    /// executed at its scheduled time, recorded in metrics
-    /// (`fault.injected` plus a per-action counter) and, when tracing is
-    /// enabled, in the trace as [`TraceKind::Fault`](crate::TraceKind::Fault)
-    /// once the action has run.
+    /// Installs fault windows: window *i* opens with its start action at
+    /// `from` and closes with its end action at `until`. All actions are
+    /// ordered by time, ties kept in list order, and each becomes an engine
+    /// event recorded in metrics (`fault.injected` plus a per-action
+    /// counter) and, when tracing is enabled, in the trace as
+    /// [`TraceKind::Fault`](crate::TraceKind::Fault) once it has run.
     ///
     /// # Panics
     ///
-    /// Panics if any action is scheduled before the current time.
-    pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
-        for (at, action) in plan.into_sorted_events() {
+    /// Panics if a window does not end after it starts, or starts before
+    /// the current time.
+    pub fn apply_faults(&mut self, windows: &[FaultWindow]) {
+        let mut events = Vec::with_capacity(2 * windows.len());
+        for w in windows {
+            let spanned = match w {
+                FaultWindow::CrashRestart { .. } => "restart must follow the crash",
+                _ => "fault window must end after it starts",
+            };
+            assert!(w.until() > w.from(), "{spanned}");
+            let (start, end) = w.actions();
+            events.push((w.from(), start));
+            events.push((w.until(), end));
+        }
+        // Stable: actions at the same instant keep their list order.
+        events.sort_by_key(|&(at, _)| at);
+        for (at, action) in events {
             assert!(at >= self.time, "fault scheduled in the past");
             let index = self.fault_actions.len();
             self.fault_actions.push(action);
@@ -1292,18 +1307,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_executes_on_schedule() {
+    fn fault_windows_execute_on_schedule() {
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let sink = sim.add_node("sink", Sink { got: vec![] });
         let c = sim.add_node("counter", Counter::new());
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.enable_trace(10_000);
-        let plan = crate::fault::FaultPlan::new().crash(
-            c,
-            SimTime::from_millis(25),
-            Some(SimTime::from_millis(55)),
-        );
-        sim.apply_fault_plan(plan);
+        sim.apply_faults(&[FaultWindow::CrashRestart {
+            node: c,
+            from: SimTime::from_millis(25),
+            until: SimTime::from_millis(55),
+        }]);
         sim.run_until(SimTime::from_millis(80));
         let counter = sim.node_as::<Counter>(c).unwrap();
         // Ticks at 10, 20 (then crash at 25, restart at 55), 65, 75.
@@ -1357,12 +1371,11 @@ mod tests {
         let c = sim.add_node("counter", Counter::new());
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.set_observer(std::sync::Arc::clone(&counts));
-        let plan = crate::fault::FaultPlan::new().crash(
-            c,
-            SimTime::from_millis(25),
-            Some(SimTime::from_millis(55)),
-        );
-        sim.apply_fault_plan(plan);
+        sim.apply_faults(&[FaultWindow::CrashRestart {
+            node: c,
+            from: SimTime::from_millis(25),
+            until: SimTime::from_millis(55),
+        }]);
         sim.inject(SimTime::from_millis(5), sink, c, Msg::Ping(1), 8);
         sim.run_until(SimTime::from_millis(80));
         let got = counts.lock().unwrap();
@@ -1455,12 +1468,11 @@ mod tests {
             .with_loss(crate::link::LossModel::Iid { p: 0.05 });
         sim.connect(a, b, cfg);
         sim.connect(b, c, LinkConfig::new(SimDuration::from_millis(1)));
-        let plan = crate::fault::FaultPlan::new().crash(
-            c,
-            SimTime::from_millis(25),
-            Some(SimTime::from_millis(55)),
-        );
-        sim.apply_fault_plan(plan);
+        sim.apply_faults(&[FaultWindow::CrashRestart {
+            node: c,
+            from: SimTime::from_millis(25),
+            until: SimTime::from_millis(55),
+        }]);
         sim.enable_trace(1 << 16);
         sim
     }

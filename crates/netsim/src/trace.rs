@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultAction;
+use crate::fnv::Fnv1a;
 use crate::link::DropReason;
 use crate::node::NodeId;
 use crate::observe::SimEvent;
@@ -134,17 +135,9 @@ impl Trace {
     /// for cheap determinism assertions: two runs with the same seed must
     /// produce identical fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         for ev in &self.events {
-            mix(ev.at.as_nanos());
+            h.write_u64(ev.at.as_nanos());
             let kind_code: u64 = match ev.kind {
                 TraceKind::Sent => 1,
                 TraceKind::Delivered => 2,
@@ -156,12 +149,12 @@ impl Trace {
                 TraceKind::Dropped(DropReason::NodeDown) => 8,
                 TraceKind::Fault { code } => 9 ^ (code << 8),
             };
-            mix(kind_code);
-            mix(ev.src.index() as u64);
-            mix(ev.dst.index() as u64);
-            mix(ev.size_bytes as u64);
+            h.write_u64(kind_code);
+            h.write_u64(ev.src.index() as u64);
+            h.write_u64(ev.dst.index() as u64);
+            h.write_u64(ev.size_bytes as u64);
         }
-        h
+        h.finish()
     }
 
     /// The [`Trace::fingerprint`] rendered as a fixed-width lowercase hex

@@ -1,10 +1,14 @@
-//! Property tests for [`FaultPlan::into_sorted_events`]: the sort is stable
-//! (ties resolve by insertion order), total (every pushed event survives),
-//! and overlapping `partition_window`/`link_flap` windows leave links in the
-//! state the engine's orthogonal admin/partition semantics prescribe.
+//! Property tests for [`Simulation::apply_faults`]: every window's opening
+//! and closing actions run exactly once, in time order, with actions at the
+//! same instant kept in list order; and overlapping partition and link-flap
+//! windows leave links in the state the engine's orthogonal admin/partition
+//! semantics prescribe.
+
+use std::sync::{Arc, Mutex};
 
 use metaclass_netsim::{
-    Context, FaultAction, FaultPlan, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation,
+    Context, FaultAction, FaultWindow, LinkConfig, Node, NodeId, SimDuration, SimEvent, SimTime,
+    SimView, Simulation,
 };
 use proptest::prelude::*;
 
@@ -12,53 +16,75 @@ fn n(i: usize) -> NodeId {
     NodeId::from_index(i)
 }
 
-/// Builds a plan whose times come from a tiny set (forcing plenty of ties),
-/// each action tagged with a unique node index so the original insertion
-/// position is recoverable from the sorted output.
-fn tagged_plan(times: &[u64]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for (i, &t) in times.iter().enumerate() {
-        // CrashNode{node: i} is a pure tag here; the plan is never executed.
-        plan = plan.at(SimTime::from_millis(t), FaultAction::CrashNode { node: n(i) });
-    }
-    plan
+struct Idle;
+impl Node<()> for Idle {
+    fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sorted output is a permutation of the input, non-decreasing in time,
-    /// and events at equal times keep their insertion order.
+    /// Window `i` crashes and restarts node `i`, so every executed action
+    /// names the window it came from. Spans come from a tiny set of
+    /// instants, forcing plenty of ties.
     #[test]
-    fn prop_sort_is_stable_and_total(times in proptest::collection::vec(0u64..4, 0..24)) {
-        let sorted = tagged_plan(&times).into_sorted_events();
-        prop_assert_eq!(sorted.len(), times.len());
-        let mut last = (SimTime::ZERO, 0usize);
-        let mut seen = vec![false; times.len()];
-        for (at, action) in &sorted {
-            let FaultAction::CrashNode { node } = action else { panic!("unexpected action") };
-            let idx = node.index();
-            prop_assert!(!seen[idx], "event {} appeared twice", idx);
-            seen[idx] = true;
-            prop_assert_eq!(*at, SimTime::from_millis(times[idx]), "event kept its time");
-            // Total order: time strictly grows, or insertion index grows.
-            prop_assert!(
-                *at > last.0 || (*at == last.0 && idx >= last.1),
-                "tie at {} ns broke insertion order: {} after {}",
-                at.as_nanos(), idx, last.1
-            );
-            last = (*at, idx);
+    fn prop_executed_order_is_stable_and_total(
+        spans in proptest::collection::vec((0u64..4, 1u64..4), 0..24),
+    ) {
+        let mut sim: Simulation<()> = Simulation::new(1);
+        for i in 0..spans.len() {
+            sim.add_node(format!("n{i}"), Idle);
         }
-        prop_assert!(seen.iter().all(|&s| s), "every pushed event survives the sort");
+        let windows: Vec<FaultWindow> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &(from, dur))| FaultWindow::CrashRestart {
+                node: n(i),
+                from: SimTime::from_millis(from),
+                until: SimTime::from_millis(from + dur),
+            })
+            .collect();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        sim.set_observer(move |view: &SimView<'_>, ev: &SimEvent<'_>| {
+            if let SimEvent::Fault { action } = ev {
+                log.lock().unwrap().push((view.time(), (*action).clone()));
+            }
+        });
+        sim.apply_faults(&windows);
+        sim.run_until_idle();
+
+        let executed = seen.lock().unwrap();
+        prop_assert_eq!(executed.len(), 2 * windows.len());
+        // Position in the lowered list: window i opens at 2i, closes at 2i+1.
+        let mut ran = vec![false; 2 * windows.len()];
+        let mut last: Option<(SimTime, usize)> = None;
+        for (at, action) in executed.iter() {
+            let (slot, due) = match action {
+                FaultAction::CrashNode { node } => (2 * node.index(), windows[node.index()].from()),
+                FaultAction::RestartNode { node } => {
+                    (2 * node.index() + 1, windows[node.index()].until())
+                }
+                other => panic!("unexpected action {other:?}"),
+            };
+            prop_assert!(!ran[slot], "action {} ran twice", slot);
+            ran[slot] = true;
+            prop_assert_eq!(*at, due, "action {} ran at its window edge", slot);
+            if let Some((prev_at, prev_slot)) = last {
+                prop_assert!(
+                    *at > prev_at || (*at == prev_at && slot > prev_slot),
+                    "order broken at {} ns: {} after {}",
+                    at.as_nanos(), slot, prev_slot
+                );
+            }
+            last = Some((*at, slot));
+        }
+        prop_assert!(ran.iter().all(|&r| r), "every action runs");
     }
 }
 
-/// A quiet 3-node triangle (0-1, 1-2, 0-2) for executing fault plans.
+/// A quiet 3-node triangle (0-1, 1-2, 0-2) for executing fault windows.
 fn triangle() -> Simulation<()> {
-    struct Idle;
-    impl Node<()> for Idle {
-        fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-    }
     let mut sim = Simulation::new(7);
     let a = sim.add_node("a", Idle);
     let b = sim.add_node("b", Idle);
@@ -88,7 +114,7 @@ proptest! {
         // all within 0..600 ms so every overlap order is exercised.
         p0 in 0u64..300, pd in 1u64..300,
         f0 in 0u64..300, fd in 1u64..300,
-        partition_built_first in any::<bool>(),
+        partition_listed_first in any::<bool>(),
     ) {
         let (a, b, c) = (n(0), n(1), n(2));
         let p_from = SimTime::from_millis(p0);
@@ -96,23 +122,21 @@ proptest! {
         let f_from = SimTime::from_millis(f0);
         let f_until = SimTime::from_millis(f0 + fd);
 
-        let groups: &[&[NodeId]] = &[&[a], &[b, c]];
-        let plan = if partition_built_first {
-            FaultPlan::new()
-                .partition_window(groups, p_from, p_until)
-                .link_flap(a, b, f_from, f_until)
-        } else {
-            FaultPlan::new()
-                .link_flap(a, b, f_from, f_until)
-                .partition_window(groups, p_from, p_until)
+        let partition = FaultWindow::Partition {
+            groups: vec![vec![a], vec![b, c]],
+            from: p_from,
+            until: p_until,
         };
+        let flap = FaultWindow::LinkFlap { a, b, from: f_from, until: f_until };
+        let windows =
+            if partition_listed_first { [partition, flap] } else { [flap, partition] };
 
         // Mid-flight: stop 1 ns before the earliest window end; whatever is
         // still open must be visible in link availability.
         let first_end = p_until.min(f_until);
         let probe_at = SimTime::from_nanos(first_end.as_nanos() - 1);
         let mut sim = triangle();
-        sim.apply_fault_plan(plan.clone());
+        sim.apply_faults(&windows);
         sim.run_until(probe_at);
         if probe_at >= p_from {
             prop_assert!(!available(&sim, a, b), "0-1 severed while partition active");
@@ -124,7 +148,7 @@ proptest! {
             prop_assert!(available(&sim, a, c));
         }
 
-        // Past both ends: full recovery regardless of overlap or build order.
+        // Past both ends: full recovery regardless of overlap or list order.
         sim.run_until(SimTime::from_millis(700));
         prop_assert!(available(&sim, a, b), "0-1 must recover after flap-up and heal");
         prop_assert!(available(&sim, b, c), "1-2 must recover after heal");

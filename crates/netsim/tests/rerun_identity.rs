@@ -1,16 +1,16 @@
 //! Property test: a run is a pure function of its configuration and seed,
-//! on random topologies, fault plans, and seeds.
+//! on random topologies, fault schedules, and seeds.
 //!
 //! Each case builds a random multi-campus topology (stars of varying size
 //! joined by a chain of slow WAN links), loads it with chatty timer-driven
-//! nodes, overlays a random fault plan (link flaps, latency spikes,
+//! nodes, overlays random fault windows (link flaps, latency spikes,
 //! partitions, crash/restart), and runs it to a deadline twice, plus once
 //! more with a passive observer installed. Trace fingerprints, the full
 //! metrics snapshot, the event count, the final clock, and the node states
 //! must all agree exactly.
 
 use metaclass_netsim::{
-    Context, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId, SimDuration,
+    Context, FaultWindow, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId, SimDuration,
     SimEvent, SimTime, SimView, Simulation, Timer,
 };
 use proptest::prelude::*;
@@ -123,35 +123,32 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
     (sim, gateways, all)
 }
 
-fn fault_plan(f: &Faults, gateways: &[NodeId], all: &[NodeId], campuses: &[u8]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
+fn fault_windows(
+    f: &Faults,
+    gateways: &[NodeId],
+    all: &[NodeId],
+    campuses: &[u8],
+) -> Vec<FaultWindow> {
+    let ms = SimTime::from_millis;
     let (a, b) = (gateways[0], gateways[1]);
+    let mut windows = Vec::new();
     if f.flap_wan {
-        plan = plan.link_flap(a, b, SimTime::from_millis(40), SimTime::from_millis(90));
+        windows.push(FaultWindow::LinkFlap { a, b, from: ms(40), until: ms(90) });
     }
     if f.spike_wan {
-        plan = plan.latency_spike(
-            a,
-            b,
-            SimTime::from_millis(100),
-            SimTime::from_millis(160),
-            SimDuration::from_millis(7),
-        );
+        let extra = SimDuration::from_millis(7);
+        windows.push(FaultWindow::LatencySpike { a, b, from: ms(100), until: ms(160), extra });
     }
     if f.partition {
-        let first: Vec<NodeId> = all[..campuses[0] as usize].to_vec();
-        let rest: Vec<NodeId> = all[campuses[0] as usize..].to_vec();
-        plan = plan.partition_window(
-            &[&first, &rest],
-            SimTime::from_millis(170),
-            SimTime::from_millis(220),
-        );
+        let (first, rest) = all.split_at(campuses[0] as usize);
+        let groups = vec![first.to_vec(), rest.to_vec()];
+        windows.push(FaultWindow::Partition { groups, from: ms(170), until: ms(220) });
     }
     if f.crash_node {
         // Crash the second campus's gateway: mid-run restart re-arms timers.
-        plan = plan.crash(gateways[1], SimTime::from_millis(60), Some(SimTime::from_millis(140)));
+        windows.push(FaultWindow::CrashRestart { node: gateways[1], from: ms(60), until: ms(140) });
     }
-    plan
+    windows
 }
 
 fn run(
@@ -165,7 +162,7 @@ fn run(
     if observe {
         sim.set_observer(|_: &SimView<'_>, _: &SimEvent<'_>| {});
     }
-    sim.apply_fault_plan(fault_plan(faults, &gateways, &all, &topo.campuses));
+    sim.apply_faults(&fault_windows(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
     let received = all.iter().map(|&n| sim.node_as::<Chatter>(n).unwrap().received).collect();
     (

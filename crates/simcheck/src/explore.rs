@@ -11,10 +11,10 @@
 //! randomness — so `explore` output is byte-identical across reruns.
 
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::{DetRng, SimTime};
+use metaclass_netsim::{DetRng, FaultWindow, Fnv1a, SimTime};
 
 use crate::oracle::{observer_for, shared, Oracle, Probe, Violation};
-use crate::plan::{event_count, generate_windows, lower, FaultWindow};
+use crate::plan::{generate_windows, shrink_candidate};
 use crate::scenario::Scenario;
 
 /// SplitMix64-style seed mixer (locally defined so simcheck stays
@@ -63,7 +63,7 @@ pub fn run_plan(
     let (mut session, topology) = scn.build();
     let registry = shared(oracles);
     session.sim_mut().set_observer(observer_for(&registry));
-    session.sim_mut().apply_fault_plan(lower(windows));
+    session.sim_mut().apply_faults(windows);
     let regions = disturbance_regions(scn, windows);
     let end = scn.end();
 
@@ -130,7 +130,7 @@ pub fn shrink(
     }
     // Phase 2: halve surviving windows' durations while the failure holds.
     for i in 0..current.len() {
-        while let Some(smaller) = current[i].shrink_candidates().into_iter().next() {
+        while let Some(smaller) = shrink_candidate(&current[i]) {
             let mut candidate = current.clone();
             candidate[i] = smaller;
             if !fails(&candidate, &mut runs) {
@@ -174,7 +174,7 @@ pub struct FoundViolation {
     pub original_windows: usize,
     /// The minimal failing schedule.
     pub minimal: Vec<FaultWindow>,
-    /// Raw fault events the minimal schedule lowers to.
+    /// Raw fault events the minimal schedule lowers to (two per window).
     pub minimal_events: usize,
     /// Verification runs the shrinker spent.
     pub shrink_runs: u32,
@@ -201,13 +201,6 @@ impl ExploreOutcome {
     }
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Explores `cfg.cases` random schedules with the standard oracle set.
 pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     explore_with(cfg, &crate::oracles::standard_oracles)
@@ -219,7 +212,7 @@ pub fn explore_with(
     cfg: &ExploreConfig,
     factory: &dyn Fn(&Scenario) -> Vec<Box<dyn Oracle>>,
 ) -> ExploreOutcome {
-    let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
+    let mut fingerprint = Fnv1a::new();
     let mut clean = 0u32;
     let mut violations = Vec::new();
     for case in 0..cfg.cases {
@@ -228,39 +221,39 @@ pub fn explore_with(
             if cfg.quick { Scenario::quick(session_seed) } else { Scenario::full(session_seed) };
         scn.pooled_members = cfg.pooled;
         scn.spec = cfg.scenario.clone();
-        let (_, topo) = scn.build();
+        let (session, topo) = scn.build();
         let space = scn.plan_space(&topo);
         let mut rng = DetRng::new(cfg.seed).derive(0xFA17 ^ u64::from(case));
-        let mut windows = scn.fixed_windows(&topo);
+        let mut windows = scn.fixed_windows(&session);
         windows.extend(generate_windows(&space, &mut rng, scn.max_windows));
         let outcome = run_plan(&scn, &windows, factory(&scn));
 
-        fnv1a(&mut fingerprint, &u64::from(case).to_le_bytes());
-        fnv1a(&mut fingerprint, &(windows.len() as u64).to_le_bytes());
-        fnv1a(&mut fingerprint, &outcome.events.to_le_bytes());
+        fingerprint.write_u64(u64::from(case));
+        fingerprint.write_u64(windows.len() as u64);
+        fingerprint.write_u64(outcome.events);
         match outcome.violation {
             None => {
                 clean += 1;
-                fnv1a(&mut fingerprint, b"clean");
+                fingerprint.write(b"clean");
             }
             Some(violation) => {
-                fnv1a(&mut fingerprint, violation.oracle.as_bytes());
+                fingerprint.write(violation.oracle.as_bytes());
                 let original_windows = windows.len();
                 let (minimal, shrink_runs) = shrink(&scn, windows, violation.oracle, factory, 64);
-                fnv1a(&mut fingerprint, &(minimal.len() as u64).to_le_bytes());
+                fingerprint.write_u64(minimal.len() as u64);
                 violations.push(FoundViolation {
                     case_index: case,
                     session_seed,
                     violation,
                     original_windows,
-                    minimal_events: event_count(&minimal),
+                    minimal_events: 2 * minimal.len(),
                     minimal,
                     shrink_runs,
                 });
             }
         }
     }
-    ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint }
+    ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint: fingerprint.finish() }
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 //! so a single [`RegressionCase::check`] call replays it bit-for-bit against
 //! the standard oracle set forever after.
 
+use metaclass_netsim::FaultWindow;
 use serde::{Deserialize, Serialize};
 
 use crate::explore::{run_plan, RunOutcome};
 use crate::oracles::standard_oracles;
-use crate::plan::FaultWindow;
 use crate::scenario::Scenario;
 
 /// Current on-disk schema version; bump on incompatible format changes.
@@ -40,8 +40,8 @@ impl RegressionCase {
         serde_json::to_string_pretty(self).expect("regression case serializes")
     }
 
-    /// Parses a case from JSON, rejecting unknown fields and other schema
-    /// versions.
+    /// Parses a case from JSON, rejecting unknown fields, other schema
+    /// versions, and windows that do not end after they start.
     pub fn from_json(json: &str) -> Result<RegressionCase, String> {
         let case: RegressionCase = serde_json::from_str(json).map_err(|e| e.to_string())?;
         if case.schema_version != SCHEMA_VERSION {
@@ -49,6 +49,9 @@ impl RegressionCase {
                 "unsupported schema version {} (expected {SCHEMA_VERSION})",
                 case.schema_version
             ));
+        }
+        if let Some(i) = case.windows.iter().position(|w| w.until() <= w.from()) {
+            return Err(format!("windows.{i}: must end after it starts"));
         }
         Ok(case)
     }
@@ -94,6 +97,10 @@ mod tests {
     use super::*;
     use metaclass_netsim::{NodeId, SimTime};
 
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
+    }
+
     fn sample() -> RegressionCase {
         RegressionCase {
             schema_version: SCHEMA_VERSION,
@@ -103,8 +110,8 @@ mod tests {
             windows: vec![FaultWindow::LinkFlap {
                 a: NodeId::from_index(0),
                 b: NodeId::from_index(3),
-                from: SimTime::from_millis(900),
-                until: SimTime::from_millis(1300),
+                from: ms(900),
+                until: ms(1300),
             }],
             expect_violation: None,
         }
@@ -130,5 +137,23 @@ mod tests {
             1,
         );
         assert!(RegressionCase::from_json(&with_extra).is_err());
+    }
+
+    #[test]
+    fn inverted_windows_are_rejected_not_replayed() {
+        let b = NodeId::from_index(3);
+        let mut flap = sample();
+        flap.windows.push(FaultWindow::LinkFlap {
+            a: NodeId::from_index(0),
+            b,
+            from: ms(1300),
+            until: ms(900),
+        });
+        let err = RegressionCase::from_json(&flap.to_json()).unwrap_err();
+        assert!(err.contains("windows.1"), "{err}");
+        let mut crash = sample();
+        crash.windows[0] = FaultWindow::CrashRestart { node: b, from: ms(1100), until: ms(1100) };
+        let err = RegressionCase::from_json(&crash.to_json()).unwrap_err();
+        assert!(err.contains("windows.0"), "{err}");
     }
 }

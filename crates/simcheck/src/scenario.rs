@@ -7,16 +7,13 @@
 //! hold/freeze, and resync all fit inside a seconds-long run.
 
 use metaclass_avatar::AvatarId;
-use metaclass_core::{
-    Activity, ClassroomSession, FaultKind, ScenarioSpec, SessionBuilder, SessionConfig,
-    FAULT_EXTRA_LATENCY, FAULT_LOSS,
-};
+use metaclass_core::{Activity, ClassroomSession, ScenarioSpec, SessionBuilder, SessionConfig};
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
 use metaclass_netsim::{
-    LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
+    FaultWindow, LinkClass, NodeId, PopulationProfile, Region, SimDuration, SimTime,
 };
 
-use crate::plan::{FaultWindow, PlanSpace};
+use crate::plan::PlanSpace;
 
 /// Parameters of one checked session run.
 #[derive(Debug, Clone)]
@@ -137,8 +134,8 @@ impl Scenario {
         // campuses, cohorts, mobility, and flash-crowd/population overlays);
         // the tight tuning above still applies so detection and resync fit
         // the exploration time bounds. Spec stress faults are NOT applied
-        // here — `fixed_windows` lowers them so the explorer composes them
-        // with its generated schedules (and the shrinker sees them).
+        // here — `fixed_windows` hands them to the explorer, which composes
+        // them with its generated schedules (and the shrinker sees them).
         let mut builder = match &self.spec {
             Some(spec) => spec
                 .session_builder(self.session_seed)
@@ -191,62 +188,11 @@ impl Scenario {
         }
     }
 
-    /// The spec's declarative stress faults lowered to fixed
-    /// [`FaultWindow`]s over the built topology (empty without a spec).
-    /// The explorer prepends these to every generated schedule, so each
-    /// case carries the scenario's scripted disturbances; lowering matches
-    /// the core expander (edge–cloud link for link faults, campus-isolating
-    /// full-coverage partitions, edge crash/restart).
-    pub fn fixed_windows(&self, topo: &Topology) -> Vec<FaultWindow> {
-        let Some(faults) =
-            self.spec.as_ref().and_then(|s| s.stress.as_ref()).and_then(|s| s.faults.as_ref())
-        else {
-            return Vec::new();
-        };
-        faults
-            .iter()
-            .map(|f| {
-                let k = f.campus as usize;
-                let edge = topo.edges[k];
-                let from = SimTime::from_millis(f.at_ms);
-                let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
-                match f.kind {
-                    FaultKind::LinkFlap => {
-                        FaultWindow::LinkFlap { a: edge, b: topo.cloud, from, until }
-                    }
-                    FaultKind::LossBurst => FaultWindow::LossBurst {
-                        a: edge,
-                        b: topo.cloud,
-                        from,
-                        until,
-                        loss: LossModel::Iid { p: FAULT_LOSS },
-                    },
-                    FaultKind::LatencySpike => FaultWindow::LatencySpike {
-                        a: edge,
-                        b: topo.cloud,
-                        from,
-                        until,
-                        extra: FAULT_EXTRA_LATENCY,
-                    },
-                    FaultKind::Partition => {
-                        let isolated = topo.campus_nodes[k].clone();
-                        let rest: Vec<NodeId> = std::iter::once(topo.cloud)
-                            .chain(
-                                topo.campus_nodes
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(m, _)| *m != k)
-                                    .flat_map(|(_, ns)| ns.iter().copied()),
-                            )
-                            .chain(topo.remote_clients.iter().map(|&(_, n)| n))
-                            .chain(topo.pool_nodes.iter().copied())
-                            .collect();
-                        FaultWindow::Partition { groups: vec![isolated, rest], from, until }
-                    }
-                    FaultKind::CrashEdge => FaultWindow::CrashRestart { node: edge, from, until },
-                }
-            })
-            .collect()
+    /// The spec's stress faults as core lowers them over `session` (empty
+    /// without a spec). The explorer prepends these to every generated
+    /// schedule, so each case carries the scenario's scripted disturbances.
+    pub fn fixed_windows(&self, session: &ClassroomSession) -> Vec<FaultWindow> {
+        self.spec.as_ref().map_or_else(Vec::new, |spec| spec.fault_windows(session))
     }
 
     /// End of the run (horizon + settle).
@@ -414,8 +360,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_core::FaultSpec;
-    use metaclass_netsim::FaultAction;
 
     #[test]
     fn topology_covers_every_node_and_numbers_avatars_by_campus() {
@@ -519,7 +463,7 @@ for_ms = 300
             assert_eq!(split.iter().map(Vec::len).sum::<usize>(), n, "split must cover all nodes");
         }
         assert_eq!(topo.server_pairs().len(), 6, "3 edge-edge + 3 edge-cloud");
-        let fixed = scn.fixed_windows(&topo);
+        let fixed = scn.fixed_windows(&session);
         assert_eq!(fixed.len(), 2);
         assert_eq!(fixed[0].kind(), "loss_burst");
         assert_eq!(fixed[1].kind(), "partition");
@@ -532,55 +476,10 @@ for_ms = 300
     }
 
     #[test]
-    fn spec_fault_plan_matches_the_lowered_fixed_windows() {
-        // Core lowers spec faults over the session's campus node ids;
-        // simcheck lowers them from its topology of the same session.
-        let kinds = [
-            FaultKind::LinkFlap,
-            FaultKind::LossBurst,
-            FaultKind::LatencySpike,
-            FaultKind::Partition,
-            FaultKind::CrashEdge,
-        ];
-        let mut spec = ScenarioSpec::from_toml_str(THREE_CAMPUS).unwrap();
-        spec.stress.as_mut().unwrap().faults = Some(
-            kinds
-                .iter()
-                .zip(0u64..)
-                .map(|(&kind, i)| FaultSpec { kind, campus: 1, at_ms: 500 + 200 * i, for_ms: 150 })
-                .collect(),
-        );
-        let mut scn = Scenario::quick(5);
-        scn.spec = Some(spec);
-        let (session, topo) = scn.build();
-        let spec = scn.spec.as_ref().expect("spec set above");
-        let core_events = spec.fault_plan(&session).expect("spec has faults").into_sorted_events();
-        let lowered = crate::plan::lower(&scn.fixed_windows(&topo)).into_sorted_events();
-        assert_eq!(core_events.len(), 2 * kinds.len(), "every window opens and closes");
-        assert_eq!(core_events.len(), lowered.len());
-        assert_eq!(core_events[0].1, FaultAction::LinkDown { a: topo.edges[1], b: topo.cloud });
-        for ((at, core), (lowered_at, simcheck)) in core_events.iter().zip(&lowered) {
-            assert_eq!(at, lowered_at);
-            assert_eq!(core.code(), simcheck.code(), "action kind at {at:?}");
-            match (core, simcheck) {
-                (
-                    FaultAction::Partition { groups: ours },
-                    FaultAction::Partition { groups: theirs },
-                ) => {
-                    assert_eq!(ours[0], topo.campus_nodes[1], "campus 1 is isolated");
-                    assert_eq!(ours[0], theirs[0]);
-                }
-                // Edge/cloud ids, crashed node, loss and extra latency.
-                _ => assert_eq!(core, simcheck),
-            }
-        }
-    }
-
-    #[test]
     fn specless_scenarios_have_no_fixed_windows() {
         let scn = Scenario::quick(3);
-        let (_, topo) = scn.build();
-        assert!(scn.fixed_windows(&topo).is_empty());
+        let (session, _) = scn.build();
+        assert!(scn.fixed_windows(&session).is_empty());
     }
 
     #[test]

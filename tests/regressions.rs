@@ -14,7 +14,8 @@
 
 use std::path::PathBuf;
 
-use metaclass_simcheck::{FaultWindow, RegressionCase, SCHEMA_VERSION};
+use metaclass_netsim::FaultWindow;
+use metaclass_simcheck::{RegressionCase, SCHEMA_VERSION};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/regressions")

@@ -145,8 +145,8 @@ fn stress_spec_passes_every_simcheck_oracle() {
     );
     let mut scn = Scenario::quick(GOLDEN_SEED);
     scn.spec = Some(spec);
-    let (_, topo) = scn.build();
-    let windows = scn.fixed_windows(&topo);
+    let (session, _) = scn.build();
+    let windows = scn.fixed_windows(&session);
     assert_eq!(windows.len(), 2, "both scripted faults lower to fixed windows");
     let out = run_plan(&scn, &windows, standard_oracles(&scn));
     assert!(out.violation.is_none(), "stress scenario violated an oracle: {:?}", out.violation);
